@@ -134,6 +134,15 @@ pub const ZONES: &[ZoneRule] = &[
         lints: REQUEST_PATH,
         test_lints: REQUEST_PATH,
     },
+    // The JSON parser decodes every `/protect` body and the deployment
+    // artifact the registry loads at startup: request-path input, so P1
+    // covers it, tests included.
+    ZoneRule {
+        zone: "request-path",
+        prefix: "crates/core/src/json.rs",
+        lints: REQUEST_PATH,
+        test_lints: REQUEST_PATH,
+    },
     // Sweep hot path: PR 7 replaced the hot-path `expect`s with typed
     // `CoreError::Internal`; P1 keeps them out. Tests are exempt from P1
     // here (assertions panic by design) but D1–D3 still apply through the
@@ -241,6 +250,15 @@ mod tests {
         assert!(zones.contains(&"request-path"));
         // And no deterministic zone: D2 must not apply.
         assert!(!zones.contains(&"deterministic-core"));
+    }
+
+    #[test]
+    fn json_parser_is_request_path_with_tests_included() {
+        let rules = zones_for("crates/core/src/json.rs");
+        assert!(rules.iter().any(|z| z.zone == "request-path"
+            && z.lints.contains(&Lint::P1)
+            && z.test_lints.contains(&Lint::P1)));
+        assert!(rules.iter().any(|z| z.zone == "deterministic-core"));
     }
 
     #[test]

@@ -660,9 +660,13 @@ enum Seeding {
 ///
 /// Sequential execution (`parallel == false`, a single item, or a single
 /// available core) calls `work` in index order on the current thread; parallel
-/// execution lets each thread atomically claim the next unclaimed index. The
-/// output is indistinguishable between the two modes as long as `work(i)` is
-/// a pure function of `i`.
+/// execution lets each worker atomically claim the next unclaimed index. The
+/// calling thread is one of the workers: it spawns `threads - 1` scoped
+/// threads and runs the last worker loop itself, so a sweep on two cores
+/// uses two workers but creates only one thread per call (fresh threads per
+/// call fragment the allocator's per-thread arenas and grow the resident
+/// set). The output is indistinguishable between the two modes as long as
+/// `work(i)` is a pure function of `i`.
 ///
 /// # Errors
 ///
@@ -681,20 +685,22 @@ where
     }
     let results: Mutex<Vec<Option<T>>> = Mutex::new((0..count).map(|_| None).collect());
     let next_index = std::sync::atomic::AtomicUsize::new(0);
+    let worker = || loop {
+        let i = next_index.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        if i >= count {
+            break;
+        }
+        let result = work(i);
+        if let Some(slot) = results.lock().get_mut(i) {
+            *slot = Some(result);
+        }
+    };
 
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next_index.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                if i >= count {
-                    break;
-                }
-                let result = work(i);
-                if let Some(slot) = results.lock().get_mut(i) {
-                    *slot = Some(result);
-                }
-            });
+        for _ in 1..threads {
+            scope.spawn(worker);
         }
+        worker();
     });
 
     results
@@ -1112,7 +1118,7 @@ impl ExperimentRunner {
         let signature = cache_signature(system, &space, &self.plan, &points, &meta);
         let cache = crate::cache::MeasurementCache::open(dir);
         let (stored, mut warnings) = cache.load(&signature, points.len(), reps, meta.len());
-        let stored: std::collections::BTreeMap<u64, crate::cache::CachedUserEntry> =
+        let mut stored: std::collections::BTreeMap<u64, crate::cache::CachedUserEntry> =
             stored.into_iter().map(|entry| (entry.user.value(), entry)).collect();
 
         // Classify every user of the dataset (in dataset order) as a cache
@@ -1122,9 +1128,10 @@ impl ExperimentRunner {
             Vec::with_capacity(fingerprints.len());
         let mut misses: Vec<(usize, UserId, u64)> = Vec::new();
         for (index, &(user, fingerprint)) in fingerprints.iter().enumerate() {
-            match stored.get(&user.value()) {
+            // Each user is looked up once, so a hit moves out of `stored`.
+            match stored.remove(&user.value()) {
                 Some(entry) if entry.fingerprint == fingerprint => {
-                    entries.push(Some(entry.clone()));
+                    entries.push(Some(entry));
                 }
                 _ => {
                     entries.push(None);
@@ -2138,11 +2145,46 @@ mod tests {
 
     #[test]
     fn run_indexed_preserves_index_order_in_both_modes() {
-        let sequential = run_indexed(17, false, |i| i * i).unwrap();
-        let parallel = run_indexed(17, true, |i| i * i).unwrap();
-        assert_eq!(sequential, parallel);
-        assert_eq!(sequential, (0..17).map(|i| i * i).collect::<Vec<_>>());
-        assert!(run_indexed(0, true, |i| i).unwrap().is_empty());
+        let work = |i: usize| (i * i) as u64 ^ 0x9E37_79B9;
+        for count in [0, 1, 2, 3, 17] {
+            let expected: Vec<u64> = (0..count).map(work).collect();
+            for parallel in [false, true] {
+                assert_eq!(run_indexed(count, parallel, work).unwrap(), expected, "{count}");
+            }
+        }
+    }
+
+    #[test]
+    fn run_indexed_keeps_a_failing_item_at_its_index() {
+        let work = |i: usize| if i == 5 { Err(format!("item {i} failed")) } else { Ok(i) };
+        let expected: Vec<Result<usize, String>> = (0..17).map(work).collect();
+        for parallel in [false, true] {
+            assert_eq!(run_indexed(17, parallel, work).unwrap(), expected);
+        }
+    }
+
+    #[test]
+    fn run_indexed_runs_work_on_the_calling_thread_too() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let caller = std::thread::current().id();
+        let started = AtomicUsize::new(0);
+        let on_caller = run_indexed(8, true, |_| {
+            // Hold each item until two have started, so both workers (the
+            // caller and the spawned thread on two cores) claim one.
+            started.fetch_add(1, Ordering::SeqCst);
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            while cores > 1
+                && started.load(Ordering::SeqCst) < 2
+                && std::time::Instant::now() < deadline
+            {
+                std::thread::yield_now();
+            }
+            std::thread::current().id() == caller
+        })
+        .unwrap();
+        assert!(on_caller.iter().any(|&mine| mine));
+        assert_eq!(on_caller.iter().all(|&mine| mine), cores == 1);
     }
 
     #[test]

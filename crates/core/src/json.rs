@@ -168,7 +168,7 @@ impl Parser<'_> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, byte: u8) -> Result<(), CoreError> {
+    fn eat(&mut self, byte: u8) -> Result<(), CoreError> {
         if self.peek() == Some(byte) {
             self.pos += 1;
             Ok(())
@@ -178,7 +178,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, CoreError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes.get(self.pos..).is_some_and(|rest| rest.starts_with(word.as_bytes())) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -215,7 +215,7 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> Result<JsonValue, CoreError> {
-        self.expect(b'{')?;
+        self.eat(b'{')?;
         let mut members = Vec::new();
         self.skip_whitespace();
         if self.peek() == Some(b'}') {
@@ -226,7 +226,7 @@ impl Parser<'_> {
             self.skip_whitespace();
             let key = self.string()?;
             self.skip_whitespace();
-            self.expect(b':')?;
+            self.eat(b':')?;
             let value = self.value()?;
             members.push((key, value));
             self.skip_whitespace();
@@ -242,7 +242,7 @@ impl Parser<'_> {
     }
 
     fn array(&mut self) -> Result<JsonValue, CoreError> {
-        self.expect(b'[')?;
+        self.eat(b'[')?;
         let mut elements = Vec::new();
         self.skip_whitespace();
         if self.peek() == Some(b']') {
@@ -264,57 +264,68 @@ impl Parser<'_> {
     }
 
     fn string(&mut self) -> Result<String, CoreError> {
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the whole run up to the next quote, backslash or end of
+            // input at once. The run stops before an ASCII byte (or at the
+            // end), so it ends on a scalar boundary and validates on its own:
+            // every input byte is validated once, keeping the parse linear.
+            let rest = self.bytes.get(self.pos..).unwrap_or_default();
+            let run = rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+            let text = rest
+                .get(..run)
+                .and_then(|bytes| std::str::from_utf8(bytes).ok())
+                .ok_or_else(|| self.error("invalid UTF-8 in string"))?;
+            out.push_str(text);
+            self.pos += run;
             match self.peek() {
-                None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.error("malformed \\u escape"))?;
-                            // The exporters only emit BMP escapes (control
-                            // characters); surrogate pairs are out of scope.
-                            out.push(
-                                char::from_u32(hex)
-                                    .ok_or_else(|| self.error("\\u escape is not a scalar"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.error("unknown escape")),
-                    }
-                    self.pos += 1;
+                    self.escape(&mut out)?;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the byte
-                    // stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let c = text.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                _ => return Err(self.error("unterminated string")),
             }
         }
+    }
+
+    /// Resolves one escape; `pos` is on the byte after the backslash.
+    fn escape(&mut self, out: &mut String) -> Result<(), CoreError> {
+        match self.peek() {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                // Exactly four hex digits: `from_str_radix` alone would also
+                // take a sign (`\u+041`).
+                let hex = self
+                    .bytes
+                    .get(self.pos + 1..self.pos + 5)
+                    .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                    .and_then(|h| std::str::from_utf8(h).ok())
+                    .and_then(|h| u32::from_str_radix(h, 16).ok())
+                    .ok_or_else(|| self.error("malformed \\u escape"))?;
+                // The exporters only emit BMP escapes (control characters);
+                // surrogate pairs are out of scope.
+                out.push(
+                    char::from_u32(hex).ok_or_else(|| self.error("\\u escape is not a scalar"))?,
+                );
+                self.pos += 4;
+            }
+            Some(_) => return Err(self.error("unknown escape")),
+            None => return Err(self.error("unterminated string")),
+        }
+        self.pos += 1;
+        Ok(())
     }
 
     fn number(&mut self) -> Result<JsonValue, CoreError> {
@@ -325,8 +336,11 @@ impl Parser<'_> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII by construction");
+        let text = self
+            .bytes
+            .get(start..self.pos)
+            .and_then(|bytes| std::str::from_utf8(bytes).ok())
+            .ok_or_else(|| self.error("malformed number"))?;
         let value: f64 = text.parse().map_err(|_| self.error("malformed number"))?;
         Ok(JsonValue::Number(value))
     }
@@ -334,58 +348,73 @@ impl Parser<'_> {
 
 #[cfg(test)]
 mod tests {
+    // The file is in a request-path P1 zone that includes tests: failures
+    // surface through `?` and `assert!`, never `unwrap`.
     use super::*;
 
+    fn parse_err(input: &str) -> CoreError {
+        match JsonValue::parse(input) {
+            Err(err) => err,
+            Ok(value) => CoreError::Internal { reason: format!("{input:?} parsed as {value}") },
+        }
+    }
+
     #[test]
-    fn parses_scalars_and_containers() {
-        assert_eq!(JsonValue::parse("null").unwrap(), JsonValue::Null);
-        assert_eq!(JsonValue::parse(" true ").unwrap(), JsonValue::Bool(true));
-        assert_eq!(JsonValue::parse("false").unwrap().as_bool(), Some(false));
-        assert_eq!(JsonValue::parse("-1.5e3").unwrap().as_f64(), Some(-1500.0));
-        assert_eq!(JsonValue::parse("42").unwrap().as_u64(), Some(42));
-        assert_eq!(JsonValue::parse("\"a b\"").unwrap().as_str(), Some("a b"));
+    fn parses_scalars_and_containers() -> Result<(), CoreError> {
+        assert_eq!(JsonValue::parse("null")?, JsonValue::Null);
+        assert_eq!(JsonValue::parse(" true ")?, JsonValue::Bool(true));
+        assert_eq!(JsonValue::parse("false")?.as_bool(), Some(false));
+        assert_eq!(JsonValue::parse("-1.5e3")?.as_f64(), Some(-1500.0));
+        assert_eq!(JsonValue::parse("42")?.as_u64(), Some(42));
+        assert_eq!(JsonValue::parse("\"a b\"")?.as_str(), Some("a b"));
         assert_eq!(
-            JsonValue::parse("[1, 2]").unwrap(),
+            JsonValue::parse("[1, 2]")?,
             JsonValue::Array(vec![JsonValue::Number(1.0), JsonValue::Number(2.0)])
         );
-        let object = JsonValue::parse("{\"a\": 1, \"b\": [true, null]}").unwrap();
-        assert_eq!(object.get("a").unwrap().as_f64(), Some(1.0));
-        assert_eq!(object.get("b").unwrap().elements().unwrap().len(), 2);
+        let object = JsonValue::parse("{\"a\": 1, \"b\": [true, null]}")?;
+        assert_eq!(object.get("a").and_then(JsonValue::as_f64), Some(1.0));
+        assert_eq!(object.get("b").and_then(JsonValue::elements).map(<[_]>::len), Some(2));
         assert!(object.get("c").is_none());
-        assert_eq!(object.members().unwrap()[0].0, "a");
-        assert_eq!(JsonValue::parse("{}").unwrap(), JsonValue::Object(vec![]));
-        assert_eq!(JsonValue::parse("[]").unwrap(), JsonValue::Array(vec![]));
+        let first = object.members().and_then(<[_]>::first).map(|(key, _)| key.as_str());
+        assert_eq!(first, Some("a"));
+        assert_eq!(JsonValue::parse("{}")?, JsonValue::Object(vec![]));
+        assert_eq!(JsonValue::parse("[]")?, JsonValue::Array(vec![]));
+        Ok(())
     }
 
     #[test]
-    fn object_member_order_is_preserved() {
-        let object = JsonValue::parse("{\"z\": 1, \"a\": 2, \"m\": 3}").unwrap();
-        let keys: Vec<&str> = object.members().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+    fn object_member_order_is_preserved() -> Result<(), CoreError> {
+        let object = JsonValue::parse("{\"z\": 1, \"a\": 2, \"m\": 3}")?;
+        let keys: Vec<&str> =
+            object.members().unwrap_or_default().iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, vec!["z", "a", "m"]);
+        Ok(())
     }
 
     #[test]
-    fn string_escapes_resolve() {
+    fn string_escapes_resolve() -> Result<(), CoreError> {
         assert_eq!(
-            JsonValue::parse(r#""a\"b\\c\nd\te\u0001""#).unwrap().as_str(),
+            JsonValue::parse(r#""a\"b\\c\nd\te\u0001""#)?.as_str(),
             Some("a\"b\\c\nd\te\u{1}")
         );
-        assert_eq!(JsonValue::parse(r#""caf\u00e9 é""#).unwrap().as_str(), Some("café é"));
+        assert_eq!(JsonValue::parse(r#""caf\u00e9 é""#)?.as_str(), Some("café é"));
+        Ok(())
     }
 
     #[test]
-    fn shortest_roundtrip_floats_reparse_bit_identically() {
+    fn shortest_roundtrip_floats_reparse_bit_identically() -> Result<(), CoreError> {
         // The exporters render floats with the shortest round-trip Display;
         // the parser must give the bit-identical f64 back.
         for &value in
             &[0.1, 1.0 / 3.0, 1e-4, 0.010022339934432, f64::MAX, f64::MIN_POSITIVE, -2.5e-17]
         {
             let rendered = format!("{value}");
-            let parsed = JsonValue::parse(&rendered).unwrap().as_f64().unwrap();
-            assert_eq!(parsed.to_bits(), value.to_bits(), "{rendered} drifted");
+            let parsed = JsonValue::parse(&rendered)?.as_f64().map(f64::to_bits);
+            assert_eq!(parsed, Some(value.to_bits()), "{rendered} drifted");
         }
         // Non-finite floats are rendered as null and read back as NaN.
-        assert!(JsonValue::parse("null").unwrap().as_f64().unwrap().is_nan());
+        assert!(JsonValue::parse("null")?.as_f64().is_some_and(f64::is_nan));
+        Ok(())
     }
 
     #[test]
@@ -398,58 +427,68 @@ mod tests {
             "{\"a\": }",
             "tru",
             "\"open",
+            "\"open\\",
+            "\"open\\u00",
             "1 2",
             "{\"a\":1,}",
             "nul",
             "--1",
+            "-",
             "\"bad \\q escape\"",
             "\"\\u00g1\"",
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "\"\\u00é\"",
         ] {
-            let err = JsonValue::parse(bad).unwrap_err();
+            let err = parse_err(bad);
             assert!(
                 matches!(err, CoreError::Parse { .. }),
-                "{bad:?} should fail with Parse, got {err}"
+                "{bad:?} should fail with Parse: {err}"
             );
             assert!(err.to_string().contains("at byte"), "{bad:?}: {err}");
         }
     }
 
     #[test]
-    fn hostile_nesting_is_rejected_not_a_stack_overflow() {
+    fn hostile_nesting_is_rejected_not_a_stack_overflow() -> Result<(), CoreError> {
         // ~100KB of '[' used to overflow the worker stack and SIGABRT the
         // whole process; the depth limit turns it into a typed parse error.
         for hostile in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
-            let err = JsonValue::parse(&hostile).unwrap_err();
+            let err = parse_err(&hostile);
             assert!(matches!(err, CoreError::Parse { .. }));
             assert!(err.to_string().contains("depth"), "{err}");
         }
         // Sane nesting well below the limit still parses.
         let nested = format!("{}1{}", "[".repeat(100), "]".repeat(100));
-        assert!(JsonValue::parse(&nested).is_ok());
+        JsonValue::parse(&nested)?;
+        Ok(())
     }
 
     #[test]
-    fn as_u64_rejects_inexact_integers() {
+    fn as_u64_rejects_inexact_integers() -> Result<(), CoreError> {
         // 2^53 - 1 is the largest exactly-representable integer; beyond it
         // distinct ids collapse onto one f64 and must not become one user.
-        assert_eq!(JsonValue::parse("9007199254740991").unwrap().as_u64(), Some((1u64 << 53) - 1));
+        assert_eq!(JsonValue::parse("9007199254740991")?.as_u64(), Some((1u64 << 53) - 1));
         for too_big in ["9007199254740992", "9007199254740993", "18446744073709551615", "1e300"] {
-            assert_eq!(JsonValue::parse(too_big).unwrap().as_u64(), None, "{too_big}");
+            assert_eq!(JsonValue::parse(too_big)?.as_u64(), None, "{too_big}");
         }
+        Ok(())
     }
 
     #[test]
-    fn accessor_mismatches_return_none() {
-        let value = JsonValue::parse("{\"a\": 1.5}").unwrap();
+    fn accessor_mismatches_return_none() -> Result<(), CoreError> {
+        let value = JsonValue::parse("{\"a\": 1.5}")?;
         assert!(value.as_f64().is_none());
         assert!(value.as_str().is_none());
         assert!(value.as_bool().is_none());
         assert!(value.elements().is_none());
-        assert!(value.get("a").unwrap().as_u64().is_none()); // 1.5 is not integral
-        assert!(value.get("a").unwrap().members().is_none());
+        let member = value.get("a");
+        assert!(member.is_some_and(|a| a.as_u64().is_none())); // 1.5 is not integral
+        assert!(member.is_some_and(|a| a.members().is_none()));
         assert_eq!(value.kind(), "object");
         assert_eq!(value.to_string(), "object");
         assert_eq!(JsonValue::Null.kind(), "null");
-        assert_eq!(JsonValue::parse("-1").unwrap().as_u64(), None);
+        assert_eq!(JsonValue::parse("-1")?.as_u64(), None);
+        Ok(())
     }
 }
