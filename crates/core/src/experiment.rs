@@ -2168,16 +2168,15 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         let caller = std::thread::current().id();
+        // The pool has `min(cores, count)` workers, the caller included.
+        let workers = cores.min(8);
         let started = AtomicUsize::new(0);
         let on_caller = run_indexed(8, true, |_| {
-            // Hold each item until two have started, so both workers (the
-            // caller and the spawned thread on two cores) claim one.
+            // Hold each item until every worker has claimed one, so no
+            // worker moves on before the caller has taken its item.
             started.fetch_add(1, Ordering::SeqCst);
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-            while cores > 1
-                && started.load(Ordering::SeqCst) < 2
-                && std::time::Instant::now() < deadline
-            {
+            while started.load(Ordering::SeqCst) < workers && std::time::Instant::now() < deadline {
                 std::thread::yield_now();
             }
             std::thread::current().id() == caller

@@ -12,6 +12,11 @@
 //! `Display` re-parses to the bit-identical `f64`. That is what lets the
 //! serving layer hand protected coordinates through JSON without breaking
 //! the workspace's bit-equivalence contracts.
+//!
+//! The parse is linear in the document size: each string copies its runs of
+//! unescaped bytes in one step, validating every run once. The module decodes
+//! every `/protect` body and the deployment artifact, so it sits in a
+//! request-path P1 (panic-freedom) audit zone, its tests included.
 
 use crate::error::CoreError;
 use std::fmt;
