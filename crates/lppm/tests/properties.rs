@@ -2,13 +2,14 @@
 
 use geopriv_geo::{distance, GeoPoint, Meters, Seconds};
 use geopriv_lppm::{
-    CoordinateRounding, Epsilon, GaussianPerturbation, GeoIndistinguishability, GridCloaking,
-    Identity, Lppm, ReleaseSampling, SpeedSmoothing, TemporalDownsampling,
+    open_stream, CoordinateRounding, Epsilon, GaussianPerturbation, GeoIndistinguishability,
+    GridCloaking, Identity, Lppm, ReleaseSampling, SpeedSmoothing, TemporalDownsampling,
 };
-use geopriv_mobility::{Record, Trace, UserId};
+use geopriv_mobility::{Dataset, DatasetBuilder, Record, Trace, UserId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// A deterministic trace near San Francisco parameterized by length and step size.
 fn trace(n: usize, step_m: f64) -> Trace {
@@ -24,6 +25,72 @@ fn trace(n: usize, step_m: f64) -> Trace {
         })
         .collect();
     Trace::new(UserId::new(9), records).expect("ordered records")
+}
+
+/// The column path over one trace: `protect_view` with a fresh seeded RNG.
+fn columns(lppm: &dyn Lppm, t: &Trace, seed: u64) -> Vec<Record> {
+    let mut out = DatasetBuilder::with_capacity(1, t.len());
+    let mut rng = StdRng::seed_from_u64(seed);
+    lppm.protect_view(t.view(), &mut out, &mut rng).expect("column path protects");
+    out.finish().expect("one finished trace").trace_at(0).iter().collect()
+}
+
+/// The stream path over one trace: every record pushed through
+/// `open_stream` in order.
+fn stream(lppm: Arc<dyn Lppm>, t: &Trace, seed: u64) -> Vec<Record> {
+    let mut session = open_stream(lppm, t.user(), seed);
+    t.iter().map(|r| session.push(r).expect("per-record mechanisms stream")).collect()
+}
+
+/// FNV-1a over the bit patterns of every released timestamp and coordinate.
+fn digest(records: &[Record]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for r in records {
+        for value in [r.timestamp().as_f64(), r.location().latitude(), r.location().longitude()] {
+            for byte in value.to_bits().to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    hash
+}
+
+/// The five per-record mechanisms pinned to the bits they released before
+/// their row, column and stream paths shared one kernel: the three paths
+/// are checked against each other below, and these digests stop them from
+/// drifting together.
+#[test]
+fn per_record_mechanisms_release_pinned_bits() {
+    let t = trace(120, 45.0);
+    let seed = 2024;
+    let mechanisms: Vec<Arc<dyn Lppm>> = vec![
+        Arc::new(Identity::new()),
+        Arc::new(GeoIndistinguishability::new(Epsilon::new(0.01).unwrap())),
+        Arc::new(GaussianPerturbation::new(Meters::new(150.0)).unwrap()),
+        Arc::new(GridCloaking::new(Meters::new(400.0)).unwrap()),
+        Arc::new(CoordinateRounding::new(3).unwrap()),
+    ];
+    let mut released = Vec::new();
+    for mechanism in mechanisms {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows = mechanism.protect_trace(&t, &mut rng).unwrap().to_records();
+        let cols = columns(mechanism.as_ref(), &t, seed);
+        let streamed = stream(Arc::clone(&mechanism), &t, seed);
+        assert_eq!(rows, cols, "{}: rows vs columns", mechanism.name());
+        assert_eq!(streamed, cols, "{}: stream vs columns", mechanism.name());
+        released.push((mechanism.name().to_string(), format!("{:#018x}", digest(&cols))));
+    }
+    let pinned = [
+        ("identity", "0xcde15e45d69f6d28"),
+        ("geo-indistinguishability", "0x1f971f2af3fb6752"),
+        ("gaussian-perturbation", "0xf43285c162695cd1"),
+        ("grid-cloaking", "0x838cae7cf86725d9"),
+        ("coordinate-rounding", "0x6d75aef858e2ec38"),
+    ];
+    let pinned: Vec<(String, String)> =
+        pinned.iter().map(|(name, bits)| (name.to_string(), bits.to_string())).collect();
+    assert_eq!(released, pinned);
 }
 
 proptest! {
@@ -43,19 +110,39 @@ proptest! {
         seed in 0u64..500,
     ) {
         let t = trace(n, step);
-        let mechanisms: Vec<Box<dyn Lppm>> = vec![
-            Box::new(Identity::new()),
-            Box::new(GeoIndistinguishability::new(Epsilon::new(epsilon).unwrap())),
-            Box::new(GaussianPerturbation::new(Meters::new(sigma)).unwrap()),
-            Box::new(GridCloaking::new(Meters::new(cell)).unwrap()),
-            Box::new(SpeedSmoothing::new(Meters::new(alpha)).unwrap()),
-            Box::new(CoordinateRounding::new(digits.min(7)).unwrap()),
-            Box::new(TemporalDownsampling::new(factor).unwrap()),
-            Box::new(ReleaseSampling::new(probability).unwrap()),
+        // (mechanism, whether it releases one record per record it reads)
+        let mechanisms: Vec<(Arc<dyn Lppm>, bool)> = vec![
+            (Arc::new(Identity::new()), true),
+            (Arc::new(GeoIndistinguishability::new(Epsilon::new(epsilon).unwrap())), true),
+            (Arc::new(GaussianPerturbation::new(Meters::new(sigma)).unwrap()), true),
+            (Arc::new(GridCloaking::new(Meters::new(cell)).unwrap()), true),
+            (Arc::new(SpeedSmoothing::new(Meters::new(alpha)).unwrap()), false),
+            (Arc::new(CoordinateRounding::new(digits.min(7)).unwrap()), true),
+            (Arc::new(TemporalDownsampling::new(factor).unwrap()), false),
+            (Arc::new(ReleaseSampling::new(probability).unwrap()), false),
         ];
-        for mechanism in &mechanisms {
+        for (mechanism, per_record) in &mechanisms {
             let mut rng = StdRng::seed_from_u64(seed);
             let protected = mechanism.protect_trace(&t, &mut rng).unwrap();
+            // Rows ≡ dataset, bit for bit.
+            let dataset = Dataset::new(vec![t.clone()]).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let whole = mechanism.protect_dataset(&dataset, &mut rng).unwrap();
+            prop_assert_eq!(
+                whole.trace_at(0).iter().collect::<Vec<Record>>(),
+                protected.to_records(),
+                "{}: protect_trace and protect_dataset diverged",
+                mechanism.name()
+            );
+            // Stream ≡ columns, bit for bit, for the per-record mechanisms.
+            if *per_record {
+                prop_assert_eq!(
+                    stream(Arc::clone(mechanism), &t, seed),
+                    columns(mechanism.as_ref(), &t, seed),
+                    "{}: open_stream and protect_view diverged",
+                    mechanism.name()
+                );
+            }
             prop_assert!(!protected.is_empty(), "{} emptied the trace", mechanism.name());
             prop_assert_eq!(protected.user(), t.user());
             // Timestamps stay within the original observation window and ordered.
