@@ -167,6 +167,15 @@ pub const ZONES: &[ZoneRule] = &[
         lints: &[Lint::P1],
         test_lints: &[],
     },
+    // The protection mechanisms: every sweep sample protects through them
+    // and every `/protect` steps their kernels, so P1 keeps panics out of
+    // their non-test code too.
+    ZoneRule {
+        zone: "sweep-hot-path",
+        prefix: "crates/lppm/src",
+        lints: &[Lint::P1],
+        test_lints: &[],
+    },
     // Timing-allowed zones — wall-clock reads are their purpose. Explicit
     // entries, not silent omissions (see module docs).
     ZoneRule { zone: "timing", prefix: "crates/bench", lints: TIMING, test_lints: TIMING },
@@ -258,6 +267,15 @@ mod tests {
         assert!(rules.iter().any(|z| z.zone == "request-path"
             && z.lints.contains(&Lint::P1)
             && z.test_lints.contains(&Lint::P1)));
+        assert!(rules.iter().any(|z| z.zone == "deterministic-core"));
+    }
+
+    #[test]
+    fn lppm_sources_are_panic_free_outside_tests() {
+        let rules = zones_for("crates/lppm/src/geo_ind.rs");
+        assert!(rules.iter().any(|z| z.zone == "sweep-hot-path"
+            && z.lints.contains(&Lint::P1)
+            && !z.test_lints.contains(&Lint::P1)));
         assert!(rules.iter().any(|z| z.zone == "deterministic-core"));
     }
 

@@ -48,6 +48,11 @@
 
 use geopriv_mobility::UserId;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Process-wide count of cache stores, so every writer gets its own temp
+/// file (see [`MeasurementCache::store`]).
+static STORES: AtomicU64 = AtomicU64::new(0);
 
 /// One metric evaluation of one user at one `(point, repetition)` sample, as
 /// the cache stores it: the aggregate over the user's own traces, the
@@ -199,6 +204,11 @@ impl MeasurementCache {
     /// Atomically stores `entries` under `signature` (temp file + rename),
     /// replacing any previous contents. Returns warnings instead of failing:
     /// a cache that cannot be written costs time, never correctness.
+    ///
+    /// The temp file is named after the process id and a process-wide store
+    /// counter, so concurrent writers of one signature — threads or
+    /// processes — never write into, or rename, each other's half-written
+    /// bytes: the last complete rename wins.
     pub(crate) fn store(&self, signature: &str, entries: &[CachedUserEntry]) -> Vec<String> {
         let path = self.path_for(signature);
         if let Err(e) = std::fs::create_dir_all(&self.dir) {
@@ -208,7 +218,8 @@ impl MeasurementCache {
             )];
         }
         let bytes = encode(signature, entries);
-        let tmp = path.with_extension("bin.tmp");
+        let writer = STORES.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_extension(format!("bin.{}-{writer}.tmp", std::process::id()));
         if let Err(e) = std::fs::write(&tmp, &bytes) {
             return vec![format!(
                 "cache file {} could not be written ({e}); measurements were not persisted",
@@ -468,6 +479,35 @@ mod tests {
         let (loaded, warnings) = cache.load("sig-d", 3, 1, 2);
         assert!(loaded.is_empty());
         assert!(warnings[0].contains("dimensions"), "{warnings:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_stores_of_one_signature_never_tear() {
+        let dir = std::env::temp_dir().join(format!("geopriv-cache-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = MeasurementCache::open(&dir);
+        let versions = [vec![entry(1, 2), entry(3, 4)], vec![entry(5, 6)]];
+        std::thread::scope(|scope| {
+            for entries in &versions {
+                let cache = &cache;
+                scope.spawn(move || {
+                    for _ in 0..200 {
+                        let warnings = cache.store("sig-race", entries);
+                        assert!(warnings.is_empty(), "{warnings:?}");
+                    }
+                });
+            }
+        });
+        let (loaded, warnings) = cache.load("sig-race", 2, 1, 2);
+        assert!(warnings.is_empty(), "{warnings:?}");
+        assert!(versions.contains(&loaded));
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.ends_with(".tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "{leftovers:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

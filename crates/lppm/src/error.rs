@@ -30,6 +30,12 @@ pub enum LppmError {
         /// Why the streaming contract cannot hold.
         reason: String,
     },
+    /// A mechanism has no per-record kernel and does not override
+    /// [`crate::Lppm::protect_trace`], so it has no way to protect a trace.
+    NoKernel {
+        /// Name of the mechanism.
+        mechanism: String,
+    },
 }
 
 impl fmt::Display for LppmError {
@@ -44,6 +50,12 @@ impl fmt::Display for LppmError {
             }
             LppmError::Unstreamable { mechanism, reason } => {
                 write!(f, "mechanism \"{mechanism}\" cannot protect a record stream: {reason}")
+            }
+            LppmError::NoKernel { mechanism } => {
+                write!(
+                    f,
+                    "mechanism \"{mechanism}\" has no kernel and does not override protect_trace"
+                )
             }
         }
     }

@@ -10,12 +10,10 @@
 use crate::error::LppmError;
 use crate::laplace::PlanarLaplace;
 use crate::params::{Epsilon, ParameterDescriptor, ParameterScale};
-use crate::stream::LppmStream;
-use crate::traits::Lppm;
+use crate::traits::{Lppm, RecordKernel};
 use geopriv_geo::LocalProjection;
-use geopriv_mobility::{DatasetBuilder, Record, Trace, TraceView};
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use geopriv_mobility::Record;
+use rand::RngCore;
 
 /// The ε range swept by the paper's evaluation (Figure 1): 10⁻⁴ to 1 m⁻¹.
 pub const PAPER_EPSILON_RANGE: (f64, f64) = (1e-4, 1.0);
@@ -66,13 +64,12 @@ impl GeoIndistinguishability {
 
     /// The parameter descriptor for ε over the paper's sweep range.
     pub fn epsilon_descriptor() -> ParameterDescriptor {
-        ParameterDescriptor::new(
+        ParameterDescriptor::fixed(
             "epsilon",
             PAPER_EPSILON_RANGE.0,
             PAPER_EPSILON_RANGE.1,
             ParameterScale::Logarithmic,
         )
-        .expect("static descriptor is valid")
     }
 }
 
@@ -85,76 +82,31 @@ impl Lppm for GeoIndistinguishability {
         vec![Self::epsilon_descriptor()]
     }
 
-    fn protect_trace(&self, trace: &Trace, rng: &mut dyn RngCore) -> Result<Trace, LppmError> {
-        let noise = PlanarLaplace::new(self.epsilon);
-        // One projection per trace, centered on its first record, keeps the
-        // planar approximation error negligible at city scale while avoiding
-        // a data-dependent (privacy-leaking) global frame.
-        let projection = LocalProjection::centered_on(trace.first().location());
-        let locations = trace
-            .iter()
-            .map(|record| {
-                let (dx, dy) = noise.sample(rng);
-                let actual = projection.project(record.location());
-                projection.unproject(actual.translated(dx, dy))
-            })
-            .collect();
-        Ok(trace.with_locations(locations)?)
-    }
-
-    fn protect_view(
-        &self,
-        trace: TraceView<'_>,
-        out: &mut DatasetBuilder,
-        rng: &mut dyn RngCore,
-    ) -> Result<(), LppmError> {
-        // Columnar twin of `protect_trace`: identical per-record operation
-        // and RNG draw order, writing straight into the output columns.
-        let noise = PlanarLaplace::new(self.epsilon);
-        let projection = LocalProjection::centered_on(trace.first().location());
-        out.begin_trace(trace.user());
-        for record in trace.iter() {
-            let (dx, dy) = noise.sample(rng);
-            let actual = projection.project(record.location());
-            out.push_record(record.timestamp(), projection.unproject(actual.translated(dx, dy)));
-        }
-        out.finish_trace()?;
-        Ok(())
-    }
-
-    fn stream_kernel(&self, seed: u64) -> Option<Box<dyn LppmStream>> {
-        Some(Box::new(GeoIndistinguishabilityStream {
+    fn kernel(&self) -> Option<Box<dyn RecordKernel>> {
+        Some(Box::new(GeoIndistinguishabilityKernel {
             noise: PlanarLaplace::new(self.epsilon),
             projection: None,
-            rng: StdRng::seed_from_u64(seed),
-            released: 0,
         }))
     }
 }
 
-/// O(1) streaming kernel of [`GeoIndistinguishability`]: the projection is
-/// anchored on the *first* pushed record (exactly the per-trace anchoring of
-/// the offline paths) and the persistent RNG draws one planar-Laplace sample
-/// per record in push order — the offline draw order, record for record.
-struct GeoIndistinguishabilityStream {
+/// The per-record step of [`GeoIndistinguishability`]: one planar-Laplace
+/// draw per record, applied in a planar projection anchored on the trace's
+/// first record. One projection per trace keeps the planar approximation
+/// error negligible at city scale while avoiding a data-dependent
+/// (privacy-leaking) global frame.
+struct GeoIndistinguishabilityKernel {
     noise: PlanarLaplace,
     projection: Option<LocalProjection>,
-    rng: StdRng,
-    released: usize,
 }
 
-impl LppmStream for GeoIndistinguishabilityStream {
-    fn push(&mut self, record: Record) -> Result<Record, LppmError> {
+impl RecordKernel for GeoIndistinguishabilityKernel {
+    fn step(&mut self, record: Record, rng: &mut dyn RngCore) -> Record {
         let projection =
             *self.projection.get_or_insert_with(|| LocalProjection::centered_on(record.location()));
-        let (dx, dy) = self.noise.sample(&mut self.rng);
+        let (dx, dy) = self.noise.sample(rng);
         let actual = projection.project(record.location());
-        self.released += 1;
-        Ok(record.with_location(projection.unproject(actual.translated(dx, dy))))
-    }
-
-    fn len(&self) -> usize {
-        self.released
+        record.with_location(projection.unproject(actual.translated(dx, dy)))
     }
 }
 
@@ -162,7 +114,7 @@ impl LppmStream for GeoIndistinguishabilityStream {
 mod tests {
     use super::*;
     use geopriv_geo::{distance, GeoPoint, Seconds};
-    use geopriv_mobility::{Record, UserId};
+    use geopriv_mobility::{Trace, UserId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

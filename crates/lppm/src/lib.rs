@@ -70,7 +70,7 @@ pub use rounding::CoordinateRounding;
 pub use space::{ConfigPoint, ConfigSpace};
 pub use stream::{open_stream, open_stream_bounded, LppmStream, ReplayStream};
 pub use temporal::{ReleaseSampling, TemporalDownsampling};
-pub use traits::{Identity, Lppm};
+pub use traits::{Identity, Lppm, RecordKernel};
 
 /// Commonly used items, for glob import.
 pub mod prelude {

@@ -157,6 +157,15 @@ impl ParameterDescriptor {
         Ok(Self { name: name.into(), min, max, scale, default: None })
     }
 
+    /// A descriptor over a literal range the shipped mechanisms declare
+    /// (finite, non-empty, strictly positive when logarithmic). It skips
+    /// [`ParameterDescriptor::new`]'s validation, which cannot fail for
+    /// these ranges; `shipped_descriptors_pass_validation` re-checks each
+    /// one.
+    pub(crate) fn fixed(name: &str, min: f64, max: f64, scale: ParameterScale) -> Self {
+        Self { name: name.to_string(), min, max, scale, default: None }
+    }
+
     /// Returns a copy of the descriptor with an explicit default value —
     /// the value a multi-axis sweep holds this parameter at while other axes
     /// vary (see [`crate::ConfigSpace::one_at_a_time`]).
@@ -266,6 +275,24 @@ impl fmt::Display for ParameterDescriptor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prelude::*;
+    use geopriv_geo::Meters;
+
+    #[test]
+    fn shipped_descriptors_pass_validation() {
+        let mechanisms: Vec<Box<dyn Lppm>> = vec![
+            Box::new(GeoIndistinguishability::with_epsilon(0.01).unwrap()),
+            Box::new(GaussianPerturbation::new(Meters::new(10.0)).unwrap()),
+            Box::new(GridCloaking::new(Meters::new(100.0)).unwrap()),
+            Box::new(CoordinateRounding::new(3).unwrap()),
+            Box::new(SpeedSmoothing::new(Meters::new(100.0)).unwrap()),
+            Box::new(TemporalDownsampling::new(2).unwrap()),
+            Box::new(ReleaseSampling::new(0.5).unwrap()),
+        ];
+        for d in mechanisms.iter().flat_map(|m| m.parameters()) {
+            assert_eq!(ParameterDescriptor::new(d.name(), d.min(), d.max(), d.scale()).unwrap(), d);
+        }
+    }
 
     #[test]
     fn epsilon_validation() {

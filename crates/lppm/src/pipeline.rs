@@ -44,7 +44,7 @@ pub fn qualify_stage_parameters(
             descriptors
                 .iter()
                 .map(|d| {
-                    if stages_exposing[d.name()] > 1 {
+                    if stages_exposing.get(d.name()).is_some_and(|&stages| stages > 1) {
                         d.with_name(format!("{}.{}", stage + 1, d.name()))
                     } else {
                         d.clone()

@@ -13,7 +13,7 @@ use crate::error::LppmError;
 use crate::params::{ParameterDescriptor, ParameterScale};
 use crate::traits::Lppm;
 use geopriv_geo::{LocalProjection, Meters, Point, Seconds};
-use geopriv_mobility::{Record, Trace};
+use geopriv_mobility::{MobilityError, Record, Trace};
 use rand::RngCore;
 
 /// Speed-smoothing mechanism: constant-distance resampling with uniform re-timing.
@@ -60,8 +60,7 @@ impl SpeedSmoothing {
 
     /// The parameter descriptor for α (10 m to 2 km, logarithmic).
     pub fn alpha_descriptor() -> ParameterDescriptor {
-        ParameterDescriptor::new("alpha", 10.0, 2_000.0, ParameterScale::Logarithmic)
-            .expect("static descriptor is valid")
+        ParameterDescriptor::fixed("alpha", 10.0, 2_000.0, ParameterScale::Logarithmic)
     }
 }
 
@@ -79,11 +78,14 @@ impl Lppm for SpeedSmoothing {
         let path: Vec<Point> = trace.iter().map(|r| projection.project(r.location())).collect();
         let alpha = self.alpha.as_f64();
 
+        let (Some(&first), Some(&last)) = (path.first(), path.last()) else {
+            return Err(LppmError::Mobility(MobilityError::EmptyTrace));
+        };
+
         // Walk the polyline and emit a point every `alpha` meters.
-        let mut resampled: Vec<Point> = vec![path[0]];
+        let mut resampled: Vec<Point> = vec![first];
         let mut carried = 0.0;
-        for segment in path.windows(2) {
-            let (from, to) = (segment[0], segment[1]);
+        for (&from, &to) in path.iter().zip(path.iter().skip(1)) {
             let length = from.distance_to(to).as_f64();
             if length <= f64::EPSILON {
                 continue;
@@ -97,7 +99,7 @@ impl Lppm for SpeedSmoothing {
         }
         // Always keep the final position so the release spans the same extent.
         if resampled.len() < 2 {
-            resampled.push(path[path.len() - 1]);
+            resampled.push(last);
         }
 
         // Re-time uniformly over the original observation window: constant

@@ -8,10 +8,9 @@
 
 use crate::error::LppmError;
 use crate::params::{ParameterDescriptor, ParameterScale};
-use crate::stream::LppmStream;
-use crate::traits::Lppm;
+use crate::traits::{Lppm, RecordKernel};
 use geopriv_geo::GeoPoint;
-use geopriv_mobility::{DatasetBuilder, Record, Trace, TraceView};
+use geopriv_mobility::Record;
 use rand::RngCore;
 
 /// Maximum number of decimal digits that still constitutes a reduction for
@@ -65,8 +64,7 @@ impl CoordinateRounding {
 
     /// The parameter descriptor for the digit count (0 to 7, linear).
     pub fn digits_descriptor() -> ParameterDescriptor {
-        ParameterDescriptor::new("digits", 0.0, f64::from(MAX_DIGITS), ParameterScale::Linear)
-            .expect("static descriptor is valid")
+        ParameterDescriptor::fixed("digits", 0.0, f64::from(MAX_DIGITS), ParameterScale::Linear)
     }
 
     fn round_coordinate(&self, value: f64) -> f64 {
@@ -84,64 +82,19 @@ impl Lppm for CoordinateRounding {
         vec![Self::digits_descriptor()]
     }
 
-    fn protect_trace(&self, trace: &Trace, _rng: &mut dyn RngCore) -> Result<Trace, LppmError> {
-        let locations = trace
-            .iter()
-            .map(|r| {
-                GeoPoint::clamped(
-                    self.round_coordinate(r.location().latitude()),
-                    self.round_coordinate(r.location().longitude()),
-                )
-            })
-            .collect();
-        Ok(trace.with_locations(locations)?)
-    }
-
-    fn protect_view(
-        &self,
-        trace: TraceView<'_>,
-        out: &mut DatasetBuilder,
-        _rng: &mut dyn RngCore,
-    ) -> Result<(), LppmError> {
-        // Columnar twin of `protect_trace`: a pure scan over the coordinate
-        // columns (the mechanism is deterministic, no RNG involved).
-        out.begin_trace(trace.user());
-        for record in trace.iter() {
-            let released = GeoPoint::clamped(
-                self.round_coordinate(record.location().latitude()),
-                self.round_coordinate(record.location().longitude()),
-            );
-            out.push_record(record.timestamp(), released);
-        }
-        out.finish_trace()?;
-        Ok(())
-    }
-
-    fn stream_kernel(&self, _seed: u64) -> Option<Box<dyn LppmStream>> {
-        // Stateless per-record truncation: trivially bit-identical to the
-        // offline scan, no RNG involved.
-        Some(Box::new(CoordinateRoundingStream { mechanism: *self, released: 0 }))
+    fn kernel(&self) -> Option<Box<dyn RecordKernel>> {
+        Some(Box::new(*self))
     }
 }
 
-/// O(1) streaming kernel of [`CoordinateRounding`]: the offline per-record
-/// truncation, one record at a time.
-struct CoordinateRoundingStream {
-    mechanism: CoordinateRounding,
-    released: usize,
-}
-
-impl LppmStream for CoordinateRoundingStream {
-    fn push(&mut self, record: Record) -> Result<Record, LppmError> {
-        self.released += 1;
-        Ok(record.with_location(GeoPoint::clamped(
-            self.mechanism.round_coordinate(record.location().latitude()),
-            self.mechanism.round_coordinate(record.location().longitude()),
-        )))
-    }
-
-    fn len(&self) -> usize {
-        self.released
+/// Coordinate rounding is its own kernel: a stateless per-record
+/// truncation that draws no randomness.
+impl RecordKernel for CoordinateRounding {
+    fn step(&mut self, record: Record, _rng: &mut dyn RngCore) -> Record {
+        record.with_location(GeoPoint::clamped(
+            self.round_coordinate(record.location().latitude()),
+            self.round_coordinate(record.location().longitude()),
+        ))
     }
 }
 
@@ -149,7 +102,7 @@ impl LppmStream for CoordinateRoundingStream {
 mod tests {
     use super::*;
     use geopriv_geo::{distance, GeoPoint, Seconds};
-    use geopriv_mobility::{Record, UserId};
+    use geopriv_mobility::{Trace, UserId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -235,29 +235,27 @@ impl ConfigSpace {
     /// one entry per axis.
     pub fn grid(&self, counts: &[usize]) -> Result<Vec<ConfigPoint>, LppmError> {
         let sweeps = self.axis_sweeps(counts)?;
-        let total: usize = sweeps.iter().map(Vec::len).product();
-        let mut points = Vec::with_capacity(total);
-        let mut indices = vec![0usize; sweeps.len()];
-        for _ in 0..total {
-            points.push(ConfigPoint {
-                values: self
-                    .axes
-                    .iter()
-                    .zip(&sweeps)
-                    .zip(&indices)
-                    .map(|((axis, sweep), &i)| (axis.name().to_string(), sweep[i]))
-                    .collect(),
-            });
-            // Row-major increment: last axis fastest.
-            for axis in (0..indices.len()).rev() {
-                indices[axis] += 1;
-                if indices[axis] < sweeps[axis].len() {
-                    break;
-                }
-                indices[axis] = 0;
-            }
+        // Extend every prefix by each value of the next axis in turn, so the
+        // last axis varies fastest.
+        let mut coords: Vec<Vec<f64>> = vec![Vec::new()];
+        for sweep in &sweeps {
+            coords = coords
+                .iter()
+                .flat_map(|prefix| {
+                    sweep.iter().map(move |&value| {
+                        let mut point = prefix.clone();
+                        point.push(value);
+                        point
+                    })
+                })
+                .collect();
         }
-        Ok(points)
+        Ok(coords
+            .into_iter()
+            .map(|point| ConfigPoint {
+                values: self.axes.iter().map(|axis| axis.name().to_string()).zip(point).collect(),
+            })
+            .collect())
     }
 
     /// Enumerates the paper's one-at-a-time design: for each axis in order,
@@ -281,9 +279,10 @@ impl ConfigSpace {
                     values: self
                         .axes
                         .iter()
+                        .zip(&defaults)
                         .enumerate()
-                        .map(|(i, axis)| {
-                            (axis.name().to_string(), if i == varied { value } else { defaults[i] })
+                        .map(|(i, (axis, &default))| {
+                            (axis.name().to_string(), if i == varied { value } else { default })
                         })
                         .collect(),
                 });

@@ -7,22 +7,21 @@
 //! paths: with a fixed seed, the stream of released records is **bit
 //! identical** to [`Lppm::protect_view`] over the records protected so far.
 //!
-//! [`open_stream`] is the entry point. Mechanisms whose RNG consumption and
-//! projection state are *record causal* (each released record depends only on
-//! the records pushed before it) override [`Lppm::stream_kernel`] with an
-//! O(1)-per-push session holding persistent state — GEO-I and Gaussian
-//! perturbation carry their trace-anchored [`geopriv_geo::LocalProjection`]
-//! and a persistent [`rand::rngs::StdRng`]; grid cloaking and coordinate
-//! rounding are stateless scans. Every other mechanism falls back to
-//! [`ReplayStream`], which re-protects the full record prefix with a fresh
-//! RNG on each push: bit-identical by construction, O(n) per push, and
-//! self-verifying — a mechanism that drops records or consumes randomness
-//! non-causally (a stage-major [`crate::Pipeline`]) is detected and reported
-//! as [`LppmError::Unstreamable`] instead of silently diverging from the
-//! offline output.
+//! [`open_stream`] is the entry point. It is the third of the three generic
+//! drivers over a mechanism's one per-record [`RecordKernel`] (rows and
+//! columns are [`Lppm::protect_trace`] and [`Lppm::protect_view`]): a
+//! mechanism with a kernel streams through a kernel session, which steps
+//! the kernel with a persistent [`rand::rngs::StdRng`] — O(1) per push, and
+//! the same steps and RNG draws as the column driver. Every other mechanism
+//! falls back to [`ReplayStream`], which re-protects the full record prefix
+//! with a fresh RNG on each push: bit-identical by construction, O(n) per
+//! push, and self-verifying — a mechanism that drops records or consumes
+//! randomness non-causally (a stage-major [`crate::Pipeline`]) is detected
+//! and reported as [`LppmError::Unstreamable`] instead of silently
+//! diverging from the offline output.
 
 use crate::error::LppmError;
-use crate::traits::Lppm;
+use crate::traits::{Lppm, RecordKernel};
 use geopriv_mobility::{DatasetBuilder, Record, TraceView, UserId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -56,8 +55,9 @@ pub trait LppmStream: Send {
 
 /// Opens a streaming session over a shared mechanism.
 ///
-/// Mechanisms with an O(1) streaming kernel ([`Lppm::stream_kernel`]) run it;
-/// everything else gets the prefix-replaying [`ReplayStream`]. Both uphold
+/// Mechanisms with a per-record kernel ([`Lppm::kernel`]) stream through a
+/// kernel session; everything else gets the prefix-replaying
+/// [`ReplayStream`]. Both uphold
 /// the same contract: the released records are bit-identical to
 /// [`Lppm::protect_view`] over the pushed prefix with a fresh
 /// `StdRng::seed_from_u64(seed)`.
@@ -71,17 +71,41 @@ pub fn open_stream(lppm: Arc<dyn Lppm>, user: UserId, seed: u64) -> Box<dyn Lppm
 /// every push — O(n) memory and O(n) CPU per update. A long-running service
 /// must bound that: beyond `replay_limit` pushed records the fallback
 /// session fails with [`LppmError::Unstreamable`] instead of growing without
-/// bound. Mechanisms with an O(1) streaming kernel are unaffected by the
-/// limit.
+/// bound. Mechanisms with a per-record kernel are unaffected by the limit.
 pub fn open_stream_bounded(
     lppm: Arc<dyn Lppm>,
     user: UserId,
     seed: u64,
     replay_limit: usize,
 ) -> Box<dyn LppmStream> {
-    match lppm.stream_kernel(seed) {
-        Some(kernel) => kernel,
+    match lppm.kernel() {
+        Some(kernel) => {
+            Box::new(KernelStream { kernel, rng: StdRng::seed_from_u64(seed), released: 0 })
+        }
         None => Box::new(ReplayStream::new(lppm, user, seed).with_prefix_limit(replay_limit)),
+    }
+}
+
+/// The stream driver: steps one mechanism's [`RecordKernel`] per push with
+/// a persistent RNG seeded from the session seed.
+///
+/// The column driver steps a fresh kernel over the trace with a fresh
+/// `StdRng::seed_from_u64(seed)`; this session makes the same steps in the
+/// same order, so each pushed record releases exactly its offline twin.
+struct KernelStream {
+    kernel: Box<dyn RecordKernel>,
+    rng: StdRng,
+    released: usize,
+}
+
+impl LppmStream for KernelStream {
+    fn push(&mut self, record: Record) -> Result<Record, LppmError> {
+        self.released += 1;
+        Ok(self.kernel.step(record, &mut self.rng))
+    }
+
+    fn len(&self) -> usize {
+        self.released
     }
 }
 
@@ -96,7 +120,7 @@ pub fn open_stream_bounded(
 /// an already-released record, or changes the record count, fails with
 /// [`LppmError::Unstreamable`] rather than silently diverging from the
 /// offline path. Cost is O(prefix) per push — the price of supporting any
-/// mechanism; hot mechanisms override [`Lppm::stream_kernel`] instead.
+/// mechanism; per-record mechanisms step their [`Lppm::kernel`] instead.
 pub struct ReplayStream {
     lppm: Arc<dyn Lppm>,
     user: UserId,

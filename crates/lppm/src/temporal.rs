@@ -64,8 +64,7 @@ impl Lppm for TemporalDownsampling {
     }
 
     fn parameters(&self) -> Vec<ParameterDescriptor> {
-        vec![ParameterDescriptor::new("factor", 1.0, 64.0, ParameterScale::Logarithmic)
-            .expect("static descriptor is valid")]
+        vec![ParameterDescriptor::fixed("factor", 1.0, 64.0, ParameterScale::Logarithmic)]
     }
 
     fn protect_trace(&self, trace: &Trace, _rng: &mut dyn RngCore) -> Result<Trace, LppmError> {
@@ -111,8 +110,7 @@ impl Lppm for ReleaseSampling {
     }
 
     fn parameters(&self) -> Vec<ParameterDescriptor> {
-        vec![ParameterDescriptor::new("probability", 0.01, 1.0, ParameterScale::Linear)
-            .expect("static descriptor is valid")]
+        vec![ParameterDescriptor::fixed("probability", 0.01, 1.0, ParameterScale::Linear)]
     }
 
     fn protect_trace(&self, trace: &Trace, rng: &mut dyn RngCore) -> Result<Trace, LppmError> {

@@ -1,10 +1,35 @@
-//! The [`Lppm`] trait: the common interface of every protection mechanism.
+//! The [`Lppm`] trait: the common interface of every protection mechanism,
+//! and [`RecordKernel`]: the one per-record step of the mechanisms that
+//! release exactly one protected record per actual record.
+//!
+//! A per-record mechanism implements only [`Lppm::kernel`]. Three generic
+//! drivers apply that single kernel: [`Lppm::protect_trace`] (rows),
+//! [`Lppm::protect_view`] (columns) and the kernel stream behind
+//! [`crate::stream::open_stream`] (online). Each driver obtains a fresh
+//! kernel once per trace and owns the RNG it passes to every step, so the
+//! three paths make the same per-record operations and the same RNG draws
+//! in the same order — bit-identical by construction. Whole-trace
+//! mechanisms (resampling, dropping, composing) have no kernel: they
+//! override `protect_trace`, and the column and stream paths fall back to
+//! it.
 
 use crate::error::LppmError;
 use crate::params::ParameterDescriptor;
-use crate::stream::LppmStream;
-use geopriv_mobility::{Dataset, DatasetBuilder, Trace, TraceView};
+use geopriv_mobility::{Dataset, DatasetBuilder, Record, Trace, TraceView};
 use rand::RngCore;
+
+/// The per-record step of a mechanism, applied to one trace's records in
+/// timestamp order.
+///
+/// A kernel is created fresh for each trace (see [`Lppm::kernel`]) and may
+/// carry state across the records of that trace — GEO-I and Gaussian
+/// perturbation anchor their planar projection on the first record they
+/// step. The driver that calls it owns the RNG and the record count.
+pub trait RecordKernel: Send {
+    /// Protects the next record of the trace, drawing any randomness from
+    /// `rng`, and returns its protected twin.
+    fn step(&mut self, record: Record, rng: &mut dyn RngCore) -> Record;
+}
 
 /// A Location Privacy Protection Mechanism.
 ///
@@ -12,6 +37,11 @@ use rand::RngCore;
 /// that can be released to a location-based service. Implementations receive
 /// a random-number generator explicitly so that experiments are reproducible
 /// under a fixed seed; deterministic mechanisms simply ignore it.
+///
+/// A mechanism that releases one protected record per actual record
+/// implements [`Lppm::kernel`] and nothing else: the row, column and stream
+/// paths are generic drivers over that one kernel (see the module docs).
+/// Every other mechanism overrides [`Lppm::protect_trace`].
 ///
 /// The trait is object safe: the configuration framework stores mechanisms as
 /// `Box<dyn Lppm>` when sweeping configuration parameters.
@@ -25,27 +55,40 @@ pub trait Lppm: Send + Sync {
     /// without configuration return an empty vector.
     fn parameters(&self) -> Vec<ParameterDescriptor>;
 
+    /// A fresh per-record kernel for one trace, or `None` (the default) for
+    /// mechanisms that need the whole trace (they drop, resample or compose
+    /// records) and override [`Lppm::protect_trace`] instead.
+    fn kernel(&self) -> Option<Box<dyn RecordKernel>> {
+        None
+    }
+
     /// Protects a single trace.
+    ///
+    /// The default is the row driver: it steps a fresh [`Lppm::kernel`] over
+    /// the trace's records in order. Mechanisms without a kernel override it.
     ///
     /// # Errors
     ///
-    /// Implementations return [`LppmError`] if the protected trace cannot be
-    /// constructed (for example when every record was dropped).
-    fn protect_trace(&self, trace: &Trace, rng: &mut dyn RngCore) -> Result<Trace, LppmError>;
+    /// Returns [`LppmError`] if the protected trace cannot be constructed (for
+    /// example when every record was dropped), and
+    /// [`LppmError::NoKernel`] from the default when the mechanism has no
+    /// kernel.
+    fn protect_trace(&self, trace: &Trace, rng: &mut dyn RngCore) -> Result<Trace, LppmError> {
+        let mut kernel =
+            self.kernel().ok_or_else(|| LppmError::NoKernel { mechanism: self.name().into() })?;
+        let records = trace.iter().map(|record| kernel.step(record, rng)).collect();
+        Ok(Trace::new(trace.user(), records)?)
+    }
 
     /// Protects one trace given as a zero-copy columnar view, appending the
     /// protected trace to the columnar `out` builder.
     ///
-    /// This is the hot path of [`Lppm::protect_dataset`]: perturbation
-    /// mechanisms override it to write protected coordinates straight into
-    /// the shared output columns, skipping every intermediate `Vec<Record>`.
-    /// The default implementation materializes the view and falls back to
-    /// [`Lppm::protect_trace`] — correct for any mechanism, including those
-    /// that drop or resample records.
-    ///
-    /// Overrides must draw from `rng` in exactly the per-record order of
-    /// their `protect_trace`, so that the columnar and row paths stay
-    /// bit-identical under a fixed seed.
+    /// This is the column driver and the hot path of
+    /// [`Lppm::protect_dataset`]: with a kernel it writes each protected
+    /// record straight into the shared output columns, skipping every
+    /// intermediate `Vec<Record>`. Without one it materializes the view and
+    /// falls back to [`Lppm::protect_trace`] — correct for any mechanism,
+    /// including those that drop or resample records.
     ///
     /// # Errors
     ///
@@ -57,8 +100,17 @@ pub trait Lppm: Send + Sync {
         out: &mut DatasetBuilder,
         rng: &mut dyn RngCore,
     ) -> Result<(), LppmError> {
-        let protected = self.protect_trace(&trace.to_trace(), rng)?;
-        out.push_trace(&protected);
+        let Some(mut kernel) = self.kernel() else {
+            let protected = self.protect_trace(&trace.to_trace(), rng)?;
+            out.push_trace(&protected);
+            return Ok(());
+        };
+        out.begin_trace(trace.user());
+        for record in trace.iter() {
+            let protected = kernel.step(record, rng);
+            out.push_record(protected.timestamp(), protected.location());
+        }
+        out.finish_trace()?;
         Ok(())
     }
 
@@ -81,20 +133,6 @@ pub trait Lppm: Send + Sync {
             self.protect_view(trace, &mut out, rng)?;
         }
         Ok(out.finish()?)
-    }
-
-    /// An O(1)-per-push streaming session kernel for this mechanism, or
-    /// `None` (the default) to stream through the prefix-replaying fallback.
-    ///
-    /// [`crate::stream::open_stream`] is the public entry point — call that,
-    /// not this. Overrides must uphold the streaming bit-identity contract:
-    /// pushing records r₁…rₙ in order releases exactly the records
-    /// [`Lppm::protect_view`] writes for the trace (r₁…rₙ) under a fresh
-    /// `StdRng::seed_from_u64(seed)` — same per-record operations, same RNG
-    /// draw order, same projection anchoring.
-    fn stream_kernel(&self, seed: u64) -> Option<Box<dyn LppmStream>> {
-        let _ = seed;
-        None
     }
 }
 
@@ -121,42 +159,16 @@ impl Lppm for Identity {
         Vec::new()
     }
 
-    fn protect_trace(&self, trace: &Trace, _rng: &mut dyn RngCore) -> Result<Trace, LppmError> {
-        Ok(trace.clone())
-    }
-
-    fn protect_view(
-        &self,
-        trace: TraceView<'_>,
-        out: &mut DatasetBuilder,
-        _rng: &mut dyn RngCore,
-    ) -> Result<(), LppmError> {
-        out.push_view(trace);
-        Ok(())
-    }
-
-    fn stream_kernel(&self, _seed: u64) -> Option<Box<dyn LppmStream>> {
-        Some(Box::new(IdentityStream { released: 0 }))
+    fn kernel(&self) -> Option<Box<dyn RecordKernel>> {
+        Some(Box::new(Identity))
     }
 }
 
-/// The trivial streaming kernel of [`Identity`]: releases every record
-/// unchanged, drawing no randomness — exactly the columnar path.
-struct IdentityStream {
-    released: usize,
-}
-
-impl LppmStream for IdentityStream {
-    fn push(
-        &mut self,
-        record: geopriv_mobility::Record,
-    ) -> Result<geopriv_mobility::Record, LppmError> {
-        self.released += 1;
-        Ok(record)
-    }
-
-    fn len(&self) -> usize {
-        self.released
+/// The identity is its own kernel: every record passes unchanged, drawing
+/// no randomness.
+impl RecordKernel for Identity {
+    fn step(&mut self, record: Record, _rng: &mut dyn RngCore) -> Record {
+        record
     }
 }
 
@@ -164,7 +176,7 @@ impl LppmStream for IdentityStream {
 mod tests {
     use super::*;
     use geopriv_geo::{GeoPoint, Seconds};
-    use geopriv_mobility::{Record, UserId};
+    use geopriv_mobility::UserId;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

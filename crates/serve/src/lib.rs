@@ -15,9 +15,11 @@
 //!    users ride the dataset-level fallback, per the normative policy on
 //!    [`geopriv_core::UserVerdict`],
 //! 3. **protects** incoming `(user, record)` updates record-at-a-time
-//!    through [`geopriv_lppm::open_stream`] sessions, behind a fixed
-//!    middleware stack (panic catching, metrics, per-user rate limiting,
-//!    request timeout).
+//!    through [`geopriv_lppm::open_stream`] sessions — for a per-record
+//!    mechanism, the stream driver over the same one kernel
+//!    ([`geopriv_lppm::RecordKernel`]) the offline row and column drivers
+//!    step — behind a fixed middleware stack (panic catching, metrics,
+//!    per-user rate limiting, request timeout).
 //!
 //! ## Determinism contract
 //!

@@ -29,7 +29,10 @@ pub struct RequestMetrics {
     /// One cumulative-style counter per bucket bound, plus the +Inf bucket
     /// at the last index (stored non-cumulative, summed at render time).
     buckets: [AtomicU64; BUCKET_BOUNDS_S.len() + 1],
-    latency_sum_micros: AtomicU64,
+    /// Sum of recorded latencies in nanoseconds: whole microseconds would
+    /// truncate a ~1.5 µs handler to 1 µs and under-report the sum by a
+    /// third.
+    latency_sum_nanos: AtomicU64,
     latency_count: AtomicU64,
 }
 
@@ -53,7 +56,7 @@ impl RequestMetrics {
         if let Some(counter) = self.buckets.get(bucket) {
             counter.fetch_add(1, Ordering::Relaxed);
         }
-        self.latency_sum_micros.fetch_add(elapsed.as_micros() as u64, Ordering::Relaxed);
+        self.latency_sum_nanos.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
         self.latency_count.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -92,7 +95,7 @@ impl RequestMetrics {
             cumulative += inf.load(Ordering::Relaxed);
         }
         let _ = writeln!(out, "geopriv_request_seconds_bucket{{le=\"+Inf\"}} {cumulative}");
-        let sum = self.latency_sum_micros.load(Ordering::Relaxed) as f64 / 1e6;
+        let sum = self.latency_sum_nanos.load(Ordering::Relaxed) as f64 / 1e9;
         let _ = writeln!(out, "geopriv_request_seconds_sum {sum}");
         let _ = writeln!(
             out,
@@ -138,6 +141,17 @@ mod tests {
         assert_eq!(counts.len(), BUCKET_BOUNDS_S.len() + 1);
         assert!(counts.iter().zip(counts.iter().skip(1)).all(|(a, b)| a <= b));
         Ok(())
+    }
+
+    #[test]
+    fn latency_sum_keeps_sub_microsecond_time() {
+        let metrics = RequestMetrics::new();
+        for _ in 0..1_000 {
+            metrics.record("/protect", 200, Duration::from_nanos(1_500));
+        }
+        let text = metrics.render();
+        assert!(text.contains("geopriv_request_seconds_sum 0.0015\n"), "{text}");
+        assert!(text.contains("geopriv_request_seconds_count 1000\n"), "{text}");
     }
 
     #[test]

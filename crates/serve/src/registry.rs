@@ -15,7 +15,9 @@
 //! A user's protected stream is a pure function of
 //! `(master seed, user id, her configuration point, her record sequence)`:
 //! sessions are seeded with [`derive_user_seed`] and protected through
-//! [`geopriv_lppm::open_stream_bounded`], whose output is bit-identical to
+//! [`geopriv_lppm::open_stream_bounded`]. For a per-record mechanism that is
+//! the stream driver over the mechanism's one kernel — the same kernel the
+//! offline row and column drivers step — so its output is bit-identical to
 //! the offline [`geopriv_lppm::Lppm::protect_view`] of the same trace under
 //! `StdRng::seed_from_u64(derive_user_seed(master_seed, user))`. Restarting
 //! the service (or replaying the requests elsewhere) reproduces the exact
@@ -26,8 +28,8 @@
 //! Live sessions are LRU-capped ([`AssignmentRegistry::set_max_sessions`])
 //! so a client iterating fabricated user ids cannot grow server memory
 //! without bound, and replay-fallback sessions carry a prefix cap
-//! ([`AssignmentRegistry::set_replay_prefix_limit`]) so a single
-//! kernel-less session cannot either.
+//! ([`DEFAULT_REPLAY_PREFIX_LIMIT`]) so a single kernel-less session cannot
+//! either.
 
 use geopriv_core::{CoreError, LppmFactory, PerUserRecommendation};
 use geopriv_lppm::{open_stream_bounded, ConfigPoint, Lppm, LppmError, LppmStream};
@@ -130,7 +132,8 @@ fn quoted(text: &str) -> String {
 pub const DEFAULT_MAX_SESSIONS: usize = 65_536;
 
 /// Default cap on the record prefix a replay-fallback session may hold (see
-/// [`geopriv_lppm::open_stream_bounded`]); kernel-streaming mechanisms are
+/// [`geopriv_lppm::open_stream_bounded`]). Pushes beyond it fail with
+/// [`LppmError::Unstreamable`]; mechanisms with a per-record kernel are
 /// unaffected.
 pub const DEFAULT_REPLAY_PREFIX_LIMIT: usize = 4_096;
 
@@ -158,7 +161,6 @@ pub struct AssignmentRegistry {
     master_seed: u64,
     sessions: Mutex<Sessions>,
     max_sessions: usize,
-    replay_prefix_limit: usize,
 }
 
 impl AssignmentRegistry {
@@ -208,7 +210,6 @@ impl AssignmentRegistry {
             master_seed,
             sessions: Mutex::new(Sessions::default()),
             max_sessions: DEFAULT_MAX_SESSIONS,
-            replay_prefix_limit: DEFAULT_REPLAY_PREFIX_LIMIT,
         })
     }
 
@@ -224,17 +225,6 @@ impl AssignmentRegistry {
     /// population; `cap` is clamped to at least 1.
     pub fn set_max_sessions(&mut self, cap: usize) {
         self.max_sessions = cap.max(1);
-    }
-
-    /// Caps the record prefix a replay-fallback session may hold (default
-    /// [`DEFAULT_REPLAY_PREFIX_LIMIT`]). Mechanisms without a streaming
-    /// kernel store and re-protect their full prefix per push — O(n) memory
-    /// and CPU — so a long-lived session must bound it; pushes beyond the
-    /// cap fail with [`LppmError::Unstreamable`]. Kernel-streaming
-    /// mechanisms (the default geo-indistinguishability deployment) are
-    /// unaffected.
-    pub fn set_replay_prefix_limit(&mut self, limit: usize) {
-        self.replay_prefix_limit = limit.max(1);
     }
 
     /// Loads a registry from the JSON wire format
@@ -317,7 +307,7 @@ impl AssignmentRegistry {
                 Err(_) => Arc::clone(&self.dataset_lppm),
             };
             let seed = derive_user_seed(self.master_seed, user_id);
-            let stream = open_stream_bounded(lppm, user_id, seed, self.replay_prefix_limit);
+            let stream = open_stream_bounded(lppm, user_id, seed, DEFAULT_REPLAY_PREFIX_LIMIT);
             Session { stream, last_used: tick }
         });
         session.last_used = tick;
