@@ -488,11 +488,15 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cache = MeasurementCache::open(&dir);
         let versions = [vec![entry(1, 2), entry(3, 4)], vec![entry(5, 6)]];
+        // Both writers pass the barrier before every store, so each round
+        // overlaps two stores of the one signature.
+        let barrier = std::sync::Barrier::new(versions.len());
         std::thread::scope(|scope| {
             for entries in &versions {
-                let cache = &cache;
+                let (cache, barrier) = (&cache, &barrier);
                 scope.spawn(move || {
                     for _ in 0..200 {
+                        barrier.wait();
                         let warnings = cache.store("sig-race", entries);
                         assert!(warnings.is_empty(), "{warnings:?}");
                     }

@@ -204,6 +204,22 @@ mod tests {
     }
 
     #[test]
+    fn a_mechanism_without_kernel_or_rows_fails_typed() {
+        struct Nothing;
+        impl Lppm for Nothing {
+            fn name(&self) -> &str {
+                "nothing"
+            }
+            fn parameters(&self) -> Vec<ParameterDescriptor> {
+                Vec::new()
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(3);
+        let err = Nothing.protect_dataset(&dataset(), &mut rng).unwrap_err();
+        assert!(matches!(err, LppmError::NoKernel { .. }), "got {err}");
+    }
+
+    #[test]
     fn lppm_is_object_safe() {
         let mut rng = StdRng::seed_from_u64(2);
         let mechanisms: Vec<Box<dyn Lppm>> = vec![Box::new(Identity::new())];

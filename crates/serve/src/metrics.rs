@@ -56,7 +56,8 @@ impl RequestMetrics {
         if let Some(counter) = self.buckets.get(bucket) {
             counter.fetch_add(1, Ordering::Relaxed);
         }
-        self.latency_sum_nanos.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+        let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        self.latency_sum_nanos.fetch_add(nanos, Ordering::Relaxed);
         self.latency_count.fetch_add(1, Ordering::Relaxed);
     }
 

@@ -1,12 +1,14 @@
 //! Row-path vs column-path equivalence.
 //!
-//! Every shipped mechanism overrides [`Lppm::protect_view`] to write
-//! protected coordinates straight into the output columns; the trait default
-//! materializes each view and falls back to `protect_trace` (the historical
-//! row layout). The override contract is that both paths draw from the RNG
-//! in exactly the same per-record order, so a sweep over the columnar path
-//! must be **bit-identical** to the same sweep forced through the row path —
-//! at dataset grain and at per-user grain alike.
+//! A per-record mechanism has one kernel ([`Lppm::kernel`]) and two offline
+//! drivers over it: [`Lppm::protect_view`] steps the kernel straight into
+//! the output columns, and `protect_trace` steps it into a row-layout trace.
+//! A mechanism without a kernel makes `protect_view` materialize each view
+//! and fall back to `protect_trace` (the historical row layout). Both
+//! drivers step the same kernel with the same RNG in the same per-record
+//! order, so a sweep over the columnar path must be **bit-identical** to
+//! the same sweep forced through the row path — at dataset grain and at
+//! per-user grain alike.
 
 use geopriv::core::{
     ExperimentRunner, GeoIndistinguishabilityFactory, LppmFactory, SweepConfig, SweepPlan,
