@@ -7,6 +7,12 @@
 //! This crate provides:
 //!
 //! * [`Lppm`] — the common, object-safe mechanism interface;
+//! * [`RecordKernel`] — the one per-record step of a mechanism that releases
+//!   one protected record per actual record. Such a mechanism implements
+//!   only [`Lppm::kernel`]; three generic drivers apply it — rows
+//!   ([`Lppm::protect_trace`]), columns ([`Lppm::protect_view`]) and streams
+//!   ([`stream::open_stream`]) — so the three paths are bit-identical by
+//!   construction. Whole-trace mechanisms override `protect_trace` instead;
 //! * [`GeoIndistinguishability`] — the paper's illustrated mechanism
 //!   (planar-Laplace noise parameterized by ε in m⁻¹, Andrés et al. CCS 2013);
 //! * [`GridCloaking`], [`GaussianPerturbation`], [`TemporalDownsampling`],
