@@ -1,14 +1,15 @@
 //! Property-based tests of the protection mechanisms.
 
-use geopriv_geo::{distance, GeoPoint, Meters, Seconds};
+use geopriv_geo::{distance, GeoPoint, LocalProjection, Meters, Seconds};
 use geopriv_lppm::{
     open_stream, CoordinateRounding, Epsilon, GaussianPerturbation, GeoIndistinguishability,
     GridCloaking, Identity, Lppm, ReleaseSampling, SpeedSmoothing, TemporalDownsampling,
 };
+use geopriv_mobility::generator::TaxiFleetBuilder;
 use geopriv_mobility::{Dataset, DatasetBuilder, Record, Trace, UserId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::sync::Arc;
 
 /// A deterministic trace near San Francisco parameterized by length and step size.
@@ -91,6 +92,96 @@ fn per_record_mechanisms_release_pinned_bits() {
     let pinned: Vec<(String, String)> =
         pinned.iter().map(|(name, bits)| (name.to_string(), bits.to_string())).collect();
     assert_eq!(released, pinned);
+}
+
+/// GEO-I pinned at trace lengths that are not multiples of any plausible
+/// chunk or lane width (the 120-record trace above is a multiple of both
+/// 4 and 8), including a full 24 h taxi trace of 2,881 records, so a
+/// remainder chunk cannot drift unnoticed.
+#[test]
+fn geoi_releases_pinned_bits_at_ragged_trace_lengths() {
+    let geoi: Arc<dyn Lppm> = Arc::new(GeoIndistinguishability::new(Epsilon::new(0.01).unwrap()));
+    let mut taxi_rng = StdRng::seed_from_u64(77);
+    let taxi = TaxiFleetBuilder::new().drivers(1).build(&mut taxi_rng).unwrap();
+    let taxi = taxi.trace_at(0).to_trace();
+    let mut traces: Vec<Trace> = [1, 3, 7, 9, 121]
+        .into_iter()
+        .map(|n| Trace::new(UserId::new(9), trace(n, 45.0).to_records()[..n].to_vec()).unwrap())
+        .collect();
+    traces.push(taxi);
+    let mut released = Vec::new();
+    for (i, t) in traces.iter().enumerate() {
+        let seed = 3_000 + i as u64;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows = geoi.protect_trace(t, &mut rng).unwrap().to_records();
+        let cols = columns(geoi.as_ref(), t, seed);
+        assert_eq!(rows, cols, "{} records: rows vs columns", t.len());
+        assert_eq!(stream(Arc::clone(&geoi), t, seed), cols, "{} records: stream", t.len());
+        released.push((t.len(), format!("{:#018x}", digest(&cols))));
+    }
+    let pinned = [
+        (1, "0x9718d4ae580d5354"),
+        (3, "0x71768c9f61e87f92"),
+        (7, "0x573e53768f1da17a"),
+        (9, "0x616bcb11bdf54304"),
+        (121, "0xaca5225dd9122daf"),
+        (2_881, "0xf29c2bd71fded5be"),
+    ];
+    let pinned: Vec<(usize, String)> =
+        pinned.iter().map(|(len, bits)| (*len, bits.to_string())).collect();
+    assert_eq!(released, pinned);
+}
+
+/// An `RngCore` that replays a fixed script of 64-bit words.
+struct Scripted {
+    words: Vec<u64>,
+    next: usize,
+}
+
+impl RngCore for Scripted {
+    fn next_u32(&mut self) -> u32 {
+        (self.next_u64() >> 32) as u32
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        let word = self.words[self.next % self.words.len()];
+        self.next += 1;
+        word
+    }
+}
+
+/// GEO-I draws θ then p for each record, in record order. A `p = 0` draw
+/// is a zero radius: whatever record of a trace (and so of a chunk) gets
+/// it releases its actual point, mapped through the trace's projection and
+/// back, while its neighbours still move.
+#[test]
+fn geoi_zero_probability_draw_releases_the_actual_point() {
+    let t = trace(9, 45.0);
+    let projection = LocalProjection::centered_on(t.first().location());
+    let geoi = GeoIndistinguishability::new(Epsilon::new(0.01).unwrap());
+    for zero_at in 0..t.len() {
+        // Two words per record: θ, then p. Every p but one is mid-range.
+        let words: Vec<u64> = (0..t.len() as u64)
+            .flat_map(|i| {
+                let theta = 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i + 1);
+                let p = if i as usize == zero_at { 0 } else { 0x4000_0000_0000_0000 + (i << 40) };
+                [theta, p]
+            })
+            .collect();
+        let mut rng = Scripted { words, next: 0 };
+        let released = geoi.protect_trace(&t, &mut rng).unwrap().to_records();
+        assert_eq!(rng.next, 2 * t.len(), "two draws per record");
+        for (i, (actual, protected)) in t.iter().zip(&released).enumerate() {
+            let round_trip = projection.unproject(projection.project(actual.location()));
+            if i == zero_at {
+                assert_eq!(protected.location(), round_trip, "record {i} must not move");
+                let moved = distance::haversine(actual.location(), protected.location());
+                assert!(moved.as_f64() < 1e-6, "record {i} moved {moved}");
+            } else {
+                assert_ne!(protected.location(), round_trip, "record {i} must move");
+            }
+        }
+    }
 }
 
 proptest! {
