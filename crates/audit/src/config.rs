@@ -176,6 +176,21 @@ pub const ZONES: &[ZoneRule] = &[
         lints: &[Lint::P1],
         test_lints: &[],
     },
+    // Geometry and metrics: every sweep sample scores its protected dataset
+    // through the grid, the distance functions and the metrics, so P1 keeps
+    // panics out of their non-test code as well.
+    ZoneRule {
+        zone: "sweep-hot-path",
+        prefix: "crates/geo/src",
+        lints: &[Lint::P1],
+        test_lints: &[],
+    },
+    ZoneRule {
+        zone: "sweep-hot-path",
+        prefix: "crates/metrics/src",
+        lints: &[Lint::P1],
+        test_lints: &[],
+    },
     // Timing-allowed zones — wall-clock reads are their purpose. Explicit
     // entries, not silent omissions (see module docs).
     ZoneRule { zone: "timing", prefix: "crates/bench", lints: TIMING, test_lints: TIMING },
@@ -277,6 +292,24 @@ mod tests {
             && z.lints.contains(&Lint::P1)
             && !z.test_lints.contains(&Lint::P1)));
         assert!(rules.iter().any(|z| z.zone == "deterministic-core"));
+    }
+
+    #[test]
+    fn geo_and_metrics_sources_are_panic_free_outside_tests() {
+        for path in ["crates/geo/src/grid.rs", "crates/metrics/src/area_coverage.rs"] {
+            let rules = zones_for(path);
+            assert!(
+                rules.iter().any(|z| z.zone == "sweep-hot-path"
+                    && z.lints.contains(&Lint::P1)
+                    && !z.test_lints.contains(&Lint::P1)),
+                "{path}"
+            );
+            assert!(rules.iter().any(|z| z.zone == "deterministic-core"), "{path}");
+        }
+        // Their integration tests stay outside the zone.
+        assert!(zones_for("crates/geo/tests/properties.rs")
+            .iter()
+            .all(|z| !z.lints.contains(&Lint::P1)));
     }
 
     #[test]

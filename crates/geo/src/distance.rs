@@ -59,7 +59,7 @@ pub fn euclidean(a: Point, b: Point) -> Meters {
 ///
 /// Returns zero for fewer than two points.
 pub fn path_length(points: &[GeoPoint]) -> Meters {
-    points.windows(2).map(|w| haversine(w[0], w[1])).sum()
+    points.iter().zip(points.iter().skip(1)).map(|(&a, &b)| haversine(a, b)).sum()
 }
 
 #[cfg(test)]

@@ -6,6 +6,21 @@
 //! size (200 m by default, a typical San Francisco block), and [`CellSet`]
 //! represents the set of cells touched by a trace together with the usual
 //! set-similarity measures (Jaccard index, F1 score).
+//!
+//! Every sweep sample maps every actual and protected record to its cell,
+//! so both halves are built for that loop:
+//!
+//! * [`Grid::cell_of`] clamps the cell coordinate to `[0, n − 1]` and
+//!   truncates it with `as u32`, with no `floor`. Truncation equals `floor`
+//!   on the non-negative values that survive the clamp, everything negative
+//!   clamps to 0 either way, and NaN and ±∞ land on the same border cells
+//!   as before — so the cell of every input is unchanged.
+//! * A [`CellSet`] is a sorted, deduplicated vector of cells, built by one
+//!   sort on packed `u64` keys (column in the high half, so key order is
+//!   the lexicographic `(col, row)` order the set iterates in).
+//!   [`Grid::count_cells`] counts the distinct cells of a trace with a
+//!   caller-owned key buffer, so the area-ratio metric allocates nothing
+//!   per trace.
 
 use crate::bbox::BoundingBox;
 use crate::error::GeoError;
@@ -13,7 +28,7 @@ use crate::point::GeoPoint;
 use crate::projection::LocalProjection;
 use crate::units::Meters;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of a grid cell: `(column, row)` indices from the south-west corner.
@@ -23,6 +38,14 @@ pub struct CellId {
     pub col: u32,
     /// Row index (south → north).
     pub row: u32,
+}
+
+impl CellId {
+    /// The cell packed into one `u64`: the column in the high half, the row
+    /// in the low half. Key order is the derived `(col, row)` order.
+    fn key(self) -> u64 {
+        (u64::from(self.col) << 32) | u64::from(self.row)
+    }
 }
 
 impl fmt::Display for CellId {
@@ -123,13 +146,14 @@ impl Grid {
     /// Returns the cell containing `point`.
     ///
     /// Points outside the bounding box are clamped to the nearest border cell.
+    /// The clamp comes before the integer cast and no `floor` is needed: a
+    /// clamped coordinate is non-negative, where `as u32` truncates exactly
+    /// like `floor`; a NaN coordinate casts to 0 (see the module docs).
     pub fn cell_of(&self, point: GeoPoint) -> CellId {
         let p = self.projection.project(point);
-        let col = (p.x() / self.cell_size.as_f64()).floor();
-        let row = (p.y() / self.cell_size.as_f64()).floor();
         CellId {
-            col: col.clamp(0.0, f64::from(self.columns - 1)) as u32,
-            row: row.clamp(0.0, f64::from(self.rows - 1)) as u32,
+            col: cell_index(p.x() / self.cell_size.as_f64(), self.columns),
+            row: cell_index(p.y() / self.cell_size.as_f64(), self.rows),
         }
     }
 
@@ -153,6 +177,29 @@ impl Grid {
         CellSet::from_cells(points.into_iter().map(|p| self.cell_of(p)))
     }
 
+    /// The number of distinct cells touched by the given points — the
+    /// length of their [`Grid::coverage`] — using `keys` as scratch space.
+    ///
+    /// Reusing one buffer across many traces avoids a set allocation per
+    /// trace; its contents on return are unspecified.
+    pub fn count_cells<I>(&self, points: I, keys: &mut Vec<u64>) -> usize
+    where
+        I: IntoIterator<Item = GeoPoint>,
+    {
+        keys.clear();
+        for point in points {
+            // Consecutive records often share a cell (a dwell, a slow
+            // street): skipping repeats of the last key shrinks the sort.
+            let key = self.cell_of(point).key();
+            if keys.last() != Some(&key) {
+                keys.push(key);
+            }
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        keys.len()
+    }
+
     /// Builds a histogram of visits per cell for the given points.
     pub fn histogram<I>(&self, points: I) -> BTreeMap<CellId, usize>
     where
@@ -166,13 +213,22 @@ impl Grid {
     }
 }
 
+/// The index of the cell holding a coordinate measured in cells from the
+/// grid's origin, clamped to the `cells` cells of its axis: `floor` without
+/// calling it (see the module docs).
+fn cell_index(coordinate: f64, cells: u32) -> u32 {
+    coordinate.clamp(0.0, f64::from(cells - 1)) as u32
+}
+
 /// A set of grid cells, typically the coverage of a mobility trace.
 ///
 /// Provides the set-similarity measures used by the area-coverage utility
-/// metric.
+/// metric. The cells are kept in one sorted, deduplicated vector, so
+/// building a set is a single sort and comparing two is a linear merge.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CellSet {
-    cells: BTreeSet<CellId>,
+    /// Strictly increasing in `(col, row)` order.
+    cells: Vec<CellId>,
 }
 
 impl CellSet {
@@ -183,7 +239,9 @@ impl CellSet {
 
     /// Creates a set from an iterator of cells.
     pub fn from_cells<I: IntoIterator<Item = CellId>>(cells: I) -> Self {
-        Self { cells: cells.into_iter().collect() }
+        let mut set = Self::new();
+        set.extend(cells);
+        set
     }
 
     /// Number of distinct cells.
@@ -198,12 +256,18 @@ impl CellSet {
 
     /// Returns `true` if the set contains `cell`.
     pub fn contains(&self, cell: CellId) -> bool {
-        self.cells.contains(&cell)
+        self.cells.binary_search_by_key(&cell.key(), |c| c.key()).is_ok()
     }
 
     /// Inserts a cell, returning `true` if it was not already present.
     pub fn insert(&mut self, cell: CellId) -> bool {
-        self.cells.insert(cell)
+        match self.cells.binary_search_by_key(&cell.key(), |c| c.key()) {
+            Ok(_) => false,
+            Err(position) => {
+                self.cells.insert(position, cell);
+                true
+            }
+        }
     }
 
     /// Iterates over the cells in lexicographic order.
@@ -213,11 +277,15 @@ impl CellSet {
 
     /// Number of cells present in both sets.
     pub fn intersection_size(&self, other: &CellSet) -> usize {
-        if self.len() <= other.len() {
-            self.cells.iter().filter(|c| other.cells.contains(c)).count()
-        } else {
-            other.intersection_size(self)
+        let mut others = other.cells.iter().peekable();
+        let mut shared = 0;
+        for cell in &self.cells {
+            while others.next_if(|o| o.key() < cell.key()).is_some() {}
+            if others.next_if(|o| *o == cell).is_some() {
+                shared += 1;
+            }
         }
+        shared
     }
 
     /// Number of cells present in either set.
@@ -276,8 +344,12 @@ impl FromIterator<CellId> for CellSet {
 }
 
 impl Extend<CellId> for CellSet {
+    /// Appends the cells, then restores the order with one sort on the packed
+    /// keys and drops the duplicates.
     fn extend<I: IntoIterator<Item = CellId>>(&mut self, iter: I) {
         self.cells.extend(iter);
+        self.cells.sort_unstable_by_key(|c| c.key());
+        self.cells.dedup();
     }
 }
 
@@ -335,6 +407,75 @@ mod tests {
         assert_eq!(c.row, g.rows() - 1);
         let far_west = GeoPoint::new(37.75, -130.0).unwrap();
         assert_eq!(g.cell_of(far_west).col, 0);
+    }
+
+    /// The historical `cell_of`: floor, then clamp, then cast.
+    fn floor_cell_index(coordinate: f64, cells: u32) -> u32 {
+        coordinate.floor().clamp(0.0, f64::from(cells - 1)) as u32
+    }
+
+    #[test]
+    fn floor_free_cell_index_matches_floor_on_every_kind_of_input() {
+        let mut inputs = vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            1e300,
+            -1e300,
+        ];
+        // Every exact cell edge of a 75-cell axis and floats just either
+        // side of it, plus negative offsets below the origin.
+        for edge in -80i32..=80 {
+            let edge = f64::from(edge);
+            let ulp = edge.abs() * f64::EPSILON;
+            inputs.extend([edge, edge - ulp, edge + ulp, edge - 1e-12, edge + 0.5, edge - 0.25]);
+        }
+        for cells in [1, 2, 75, 76, u32::MAX] {
+            for &v in &inputs {
+                assert_eq!(cell_index(v, cells), floor_cell_index(v, cells), "{v} over {cells}");
+            }
+        }
+    }
+
+    #[test]
+    fn floor_free_cell_of_matches_the_floor_reference() {
+        let g = sf_grid(200.0);
+        let reference = |point: GeoPoint| {
+            let p = g.projection.project(point);
+            CellId {
+                col: floor_cell_index(p.x() / g.cell_size.as_f64(), g.columns),
+                row: floor_cell_index(p.y() / g.cell_size.as_f64(), g.rows),
+            }
+        };
+        let size = g.cell_size.as_f64();
+        let mut points = Vec::new();
+        // Cell corners, from three cells before the origin to three past
+        // the far edge, and points a hair to either side of them.
+        for col in -3..=i64::from(g.columns()) + 3 {
+            for row in [-3i64, -1, 0, 1, 40, i64::from(g.rows()) - 1, i64::from(g.rows()) + 3] {
+                let corner = crate::point::Point::new(col as f64 * size, row as f64 * size);
+                for (dx, dy) in [(0.0, 0.0), (1e-9, 1e-9), (-1e-9, -1e-9), (0.5, -0.5)] {
+                    let p = crate::point::Point::new(corner.x() + dx, corner.y() + dy);
+                    points.push(g.projection.unproject(p));
+                }
+            }
+        }
+        // Far out of bounds, on every side and at the poles and antimeridian.
+        for (lat, lon) in [(89.9, -122.4), (-89.9, -122.4), (37.75, 179.9), (37.75, -179.9)] {
+            points.push(GeoPoint::new(lat, lon).unwrap());
+        }
+        points.push(g.bounds().south_west());
+        points.push(g.bounds().north_east());
+        for point in points {
+            assert_eq!(g.cell_of(point), reference(point), "{point}");
+        }
     }
 
     #[test]

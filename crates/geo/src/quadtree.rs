@@ -39,14 +39,17 @@ impl Rect {
         }
     }
 
-    fn quadrant_of(&self, p: Point) -> usize {
+    /// The entry of `quadrants` — one per quadrant, in [`Rect::quadrant`]
+    /// order (south-west, south-east, north-west, north-east) — whose
+    /// quadrant holds `p`.
+    fn quadrant_of<T>(&self, p: Point, [sw, se, nw, ne]: [T; 4]) -> T {
         let mid_x = (self.min_x + self.max_x) / 2.0;
         let mid_y = (self.min_y + self.max_y) / 2.0;
         match (p.x() >= mid_x, p.y() >= mid_y) {
-            (false, false) => 0,
-            (true, false) => 1,
-            (false, true) => 2,
-            (true, true) => 3,
+            (false, false) => sw,
+            (true, false) => se,
+            (false, true) => nw,
+            (true, true) => ne,
         }
     }
 }
@@ -159,15 +162,17 @@ impl QuadTree {
                         Node::Leaf { points: Vec::new() },
                     ]);
                     for (q, i) in drained {
-                        let k = bounds.quadrant_of(q);
-                        Self::insert_into(&mut children[k], quadrant_bounds[k], q, i, depth + 1);
+                        let child = bounds.quadrant_of(q, children.each_mut());
+                        let child_bounds = bounds.quadrant_of(q, quadrant_bounds);
+                        Self::insert_into(child, child_bounds, q, i, depth + 1);
                     }
                     *node = Node::Internal { children, bounds: quadrant_bounds };
                 }
             }
             Node::Internal { children, bounds: quadrant_bounds } => {
-                let k = bounds.quadrant_of(p);
-                Self::insert_into(&mut children[k], quadrant_bounds[k], p, idx, depth + 1);
+                let child = bounds.quadrant_of(p, children.each_mut());
+                let child_bounds = bounds.quadrant_of(p, *quadrant_bounds);
+                Self::insert_into(child, child_bounds, p, idx, depth + 1);
             }
         }
     }
@@ -208,8 +213,8 @@ impl QuadTree {
                 }
             }
             Node::Internal { children, bounds: qb } => {
-                for i in 0..4 {
-                    Self::range_query(&children[i], qb[i], center, radius, out);
+                for (child, &child_bounds) in children.iter().zip(qb) {
+                    Self::range_query(child, child_bounds, center, radius, out);
                 }
             }
         }
@@ -223,9 +228,10 @@ impl QuadTree {
             Node::Leaf { points } => {
                 points.iter().any(|(p, _)| p.distance_squared_to(center) <= radius * radius)
             }
-            Node::Internal { children, bounds: qb } => {
-                (0..4).any(|i| Self::any_query(&children[i], qb[i], center, radius))
-            }
+            Node::Internal { children, bounds: qb } => children
+                .iter()
+                .zip(qb)
+                .any(|(child, &child_bounds)| Self::any_query(child, child_bounds, center, radius)),
         }
     }
 
@@ -254,11 +260,12 @@ impl QuadTree {
             }
             Node::Internal { children, bounds: qb } => {
                 // Visit the quadrant containing the target first to tighten the bound.
-                let first = bounds.quadrant_of(target);
-                Self::nearest_query(&children[first], qb[first], target, best);
-                for i in 0..4 {
+                let first = bounds.quadrant_of(target, [0, 1, 2, 3]);
+                let child = bounds.quadrant_of(target, children.each_ref());
+                Self::nearest_query(child, bounds.quadrant_of(target, *qb), target, best);
+                for (i, (child, &child_bounds)) in children.iter().zip(qb).enumerate() {
                     if i != first {
-                        Self::nearest_query(&children[i], qb[i], target, best);
+                        Self::nearest_query(child, child_bounds, target, best);
                     }
                 }
             }

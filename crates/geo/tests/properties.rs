@@ -1,9 +1,11 @@
 //! Property-based tests for the geospatial substrate.
 
 use geopriv_geo::{
-    distance, BoundingBox, GeoPoint, Grid, LocalProjection, Meters, Point, QuadTree,
+    distance, BoundingBox, CellId, CellSet, GeoPoint, Grid, LocalProjection, Meters, Point,
+    QuadTree,
 };
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// City-scale latitudes/longitudes around San Francisco, the paper's study area.
 fn sf_coords() -> impl Strategy<Value = (f64, f64)> {
@@ -13,6 +15,91 @@ fn sf_coords() -> impl Strategy<Value = (f64, f64)> {
 fn planar_points(max_len: usize) -> impl Strategy<Value = Vec<Point>> {
     prop::collection::vec((-10_000.0f64..10_000.0, -10_000.0f64..10_000.0), 0..max_len)
         .prop_map(|v| v.into_iter().map(|(x, y)| Point::new(x, y)).collect())
+}
+
+/// Cells from three bands of each axis — near 0, around 2³¹ and near
+/// `u32::MAX` — so the packed keys exercise both halves and every bit,
+/// with few enough values per band that sets overlap.
+fn cells(max_len: usize) -> impl Strategy<Value = Vec<CellId>> {
+    let band = |offset: u32, band: u32| match band {
+        0 => offset,
+        1 => (1 << 31) + offset,
+        _ => u32::MAX - offset,
+    };
+    prop::collection::vec((0u32..5, 0u32..3, 0u32..5, 0u32..3), 0..max_len).prop_map(move |v| {
+        v.into_iter()
+            .map(|(col, col_band, row, row_band)| CellId {
+                col: band(col, col_band),
+                row: band(row, row_band),
+            })
+            .collect()
+    })
+}
+
+/// The `BTreeSet` similarity arithmetic the sorted `CellSet` must match.
+fn reference_f1(truth: &BTreeSet<CellId>, other: &BTreeSet<CellId>) -> f64 {
+    let shared = truth.intersection(other).count() as f64;
+    let precision = match (other.is_empty(), truth.is_empty()) {
+        (true, true) => 1.0,
+        (true, false) => 0.0,
+        _ => shared / other.len() as f64,
+    };
+    let recall = if truth.is_empty() { 1.0 } else { shared / truth.len() as f64 };
+    if precision + recall == 0.0 {
+        0.0
+    } else {
+        2.0 * precision * recall / (precision + recall)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn sorted_cell_sets_behave_like_btree_sets(
+        a in cells(40),
+        b in cells(40),
+        probes in cells(12),
+    ) {
+        let set_a: CellSet = a.iter().copied().collect();
+        let set_b = CellSet::from_cells(b.iter().copied());
+        let ref_a: BTreeSet<CellId> = a.iter().copied().collect();
+        let ref_b: BTreeSet<CellId> = b.iter().copied().collect();
+
+        // Length, membership and lexicographic iteration order.
+        prop_assert_eq!(set_a.len(), ref_a.len());
+        prop_assert_eq!(set_a.is_empty(), ref_a.is_empty());
+        prop_assert_eq!(set_a.iter().collect::<Vec<_>>(), ref_a.iter().copied().collect::<Vec<_>>());
+        for &cell in probes.iter().chain(&a).chain(&b) {
+            prop_assert_eq!(set_a.contains(cell), ref_a.contains(&cell));
+        }
+
+        // Intersection, union and the similarity measures, bit for bit.
+        let shared = ref_a.intersection(&ref_b).count();
+        let union = ref_a.union(&ref_b).count();
+        prop_assert_eq!(set_a.intersection_size(&set_b), shared);
+        prop_assert_eq!(set_b.intersection_size(&set_a), shared);
+        prop_assert_eq!(set_a.union_size(&set_b), union);
+        let jaccard = if union == 0 { 1.0 } else { shared as f64 / union as f64 };
+        prop_assert_eq!(set_a.jaccard(&set_b).to_bits(), jaccard.to_bits());
+        prop_assert_eq!(set_a.f1_of(&set_b).to_bits(), reference_f1(&ref_a, &ref_b).to_bits());
+        prop_assert_eq!(set_b.f1_of(&set_a).to_bits(), reference_f1(&ref_b, &ref_a).to_bits());
+
+        // Insertion reports novelty exactly like the reference.
+        let mut inserted = set_a.clone();
+        let mut ref_inserted = ref_a.clone();
+        for &cell in &probes {
+            prop_assert_eq!(inserted.insert(cell), ref_inserted.insert(cell));
+        }
+        prop_assert_eq!(inserted.iter().collect::<Vec<_>>(), ref_inserted.into_iter().collect::<Vec<_>>());
+
+        // Extending is a union that keeps the order.
+        let mut extended = set_a.clone();
+        extended.extend(b.iter().copied());
+        let ref_union: Vec<CellId> = ref_a.union(&ref_b).copied().collect();
+        prop_assert_eq!(extended.iter().collect::<Vec<_>>(), ref_union);
+        prop_assert_eq!(extended.len(), union);
+    }
 }
 
 proptest! {
@@ -80,6 +167,24 @@ proptest! {
         prop_assert!(cell.row < grid.rows());
         // Cell centers always map back to their own cell.
         prop_assert_eq!(grid.cell_of(grid.cell_center(cell)), cell);
+    }
+
+    #[test]
+    fn counted_cells_equal_the_coverage_size(
+        a in planar_points(60),
+        b in planar_points(60),
+        cell_m in 50.0f64..1000.0,
+    ) {
+        let area = BoundingBox::new(37.60, -122.60, 37.90, -122.30).unwrap();
+        let grid = Grid::new(area, Meters::new(cell_m)).unwrap();
+        let proj = LocalProjection::centered_on(area.center());
+        // One key buffer serves both traces, as in the area-ratio metric.
+        let mut keys = Vec::new();
+        for points in [&a, &b, &a] {
+            let geos: Vec<GeoPoint> = points.iter().map(|p| proj.unproject(*p)).collect();
+            let counted = grid.count_cells(geos.iter().copied(), &mut keys);
+            prop_assert_eq!(counted, grid.coverage(geos.iter().copied()).len());
+        }
     }
 
     #[test]

@@ -111,8 +111,11 @@ struct GridCloakingKernel {
 }
 
 impl RecordKernel for GridCloakingKernel {
-    fn step(&mut self, record: Record, _rng: &mut dyn RngCore) -> Record {
-        record.with_location(self.mechanism.snap(&self.projection, record.location()))
+    fn step(&mut self, records: &mut [Record], _rng: &mut dyn RngCore) {
+        for record in records {
+            *record =
+                record.with_location(self.mechanism.snap(&self.projection, record.location()));
+        }
     }
 }
 

@@ -92,13 +92,16 @@ struct GaussianPerturbationKernel {
 }
 
 impl RecordKernel for GaussianPerturbationKernel {
-    fn step(&mut self, record: Record, rng: &mut dyn RngCore) -> Record {
+    fn step(&mut self, records: &mut [Record], rng: &mut dyn RngCore) {
+        let Some(first) = records.first() else { return };
         let projection =
-            *self.projection.get_or_insert_with(|| LocalProjection::centered_on(record.location()));
-        let p = projection.project(record.location());
-        let dx = GaussianPerturbation::sample_normal(rng, self.sigma);
-        let dy = GaussianPerturbation::sample_normal(rng, self.sigma);
-        record.with_location(projection.unproject(p.translated(dx, dy)))
+            *self.projection.get_or_insert_with(|| LocalProjection::centered_on(first.location()));
+        for record in records {
+            let p = projection.project(record.location());
+            let dx = GaussianPerturbation::sample_normal(rng, self.sigma);
+            let dy = GaussianPerturbation::sample_normal(rng, self.sigma);
+            *record = record.with_location(projection.unproject(p.translated(dx, dy)));
+        }
     }
 }
 

@@ -8,7 +8,7 @@
 //! guarantee — and the lower the utility of the released data.
 
 use crate::error::LppmError;
-use crate::laplace::PlanarLaplace;
+use crate::laplace::{PlanarLaplace, LANES};
 use crate::params::{Epsilon, ParameterDescriptor, ParameterScale};
 use crate::traits::{Lppm, RecordKernel};
 use geopriv_geo::LocalProjection;
@@ -95,18 +95,37 @@ impl Lppm for GeoIndistinguishability {
 /// first record. One projection per trace keeps the planar approximation
 /// error negligible at city scale while avoiding a data-dependent
 /// (privacy-leaking) global frame.
+///
+/// A run is perturbed [`LANES`] records at a time: the group draws each
+/// record's (θ, p) pair in record order, then inverts the group's radii
+/// with interleaved Halley iterations. A lone record — the stream's
+/// one-record run, or a run's last — takes the one-lane
+/// [`PlanarLaplace::sample`], so no padding lanes are paid for.
 struct GeoIndistinguishabilityKernel {
     noise: PlanarLaplace,
     projection: Option<LocalProjection>,
 }
 
 impl RecordKernel for GeoIndistinguishabilityKernel {
-    fn step(&mut self, record: Record, rng: &mut dyn RngCore) -> Record {
+    fn step(&mut self, records: &mut [Record], rng: &mut dyn RngCore) {
+        let Some(first) = records.first() else { return };
         let projection =
-            *self.projection.get_or_insert_with(|| LocalProjection::centered_on(record.location()));
-        let (dx, dy) = self.noise.sample(rng);
-        let actual = projection.project(record.location());
-        record.with_location(projection.unproject(actual.translated(dx, dy)))
+            *self.projection.get_or_insert_with(|| LocalProjection::centered_on(first.location()));
+        let perturb = |record: &mut Record, (dx, dy): (f64, f64)| {
+            let actual = projection.project(record.location());
+            *record = record.with_location(projection.unproject(actual.translated(dx, dy)));
+        };
+        for group in records.chunks_mut(LANES) {
+            match group {
+                [record] => perturb(record, self.noise.sample(rng)),
+                _ => {
+                    let noise: [(f64, f64); LANES] = self.noise.sample_lanes(rng, group.len());
+                    for (record, noise) in group.iter_mut().zip(noise) {
+                        perturb(record, noise);
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -90,11 +90,13 @@ impl Lppm for CoordinateRounding {
 /// Coordinate rounding is its own kernel: a stateless per-record
 /// truncation that draws no randomness.
 impl RecordKernel for CoordinateRounding {
-    fn step(&mut self, record: Record, _rng: &mut dyn RngCore) -> Record {
-        record.with_location(GeoPoint::clamped(
-            self.round_coordinate(record.location().latitude()),
-            self.round_coordinate(record.location().longitude()),
-        ))
+    fn step(&mut self, records: &mut [Record], _rng: &mut dyn RngCore) {
+        for record in records {
+            *record = record.with_location(GeoPoint::clamped(
+                self.round_coordinate(record.location().latitude()),
+                self.round_coordinate(record.location().longitude()),
+            ));
+        }
     }
 }
 

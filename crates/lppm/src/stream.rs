@@ -11,8 +11,11 @@
 //! drivers over a mechanism's one per-record [`RecordKernel`] (rows and
 //! columns are [`Lppm::protect_trace`] and [`Lppm::protect_view`]): a
 //! mechanism with a kernel streams through a kernel session, which steps
-//! the kernel with a persistent [`rand::rngs::StdRng`] — O(1) per push, and
-//! the same steps and RNG draws as the column driver. Every other mechanism
+//! the kernel with a persistent [`rand::rngs::StdRng`], one record per
+//! push — O(1) per push. The column driver steps the same kernel over
+//! chunks of the trace instead; the kernel's draw-order rule (every record
+//! draws its randomness in record order, whatever the run length) makes
+//! both release the same bits. Every other mechanism
 //! falls back to [`ReplayStream`], which re-protects the full record prefix
 //! with a fresh RNG on each push: bit-identical by construction, O(n) per
 //! push, and self-verifying — a mechanism that drops records or consumes
@@ -99,9 +102,10 @@ struct KernelStream {
 }
 
 impl LppmStream for KernelStream {
-    fn push(&mut self, record: Record) -> Result<Record, LppmError> {
+    fn push(&mut self, mut record: Record) -> Result<Record, LppmError> {
+        self.kernel.step(std::slice::from_mut(&mut record), &mut self.rng);
         self.released += 1;
-        Ok(self.kernel.step(record, &mut self.rng))
+        Ok(record)
     }
 
     fn len(&self) -> usize {

@@ -6,15 +6,24 @@
 //! drivers apply that single kernel: [`Lppm::protect_trace`] (rows),
 //! [`Lppm::protect_view`] (columns) and the kernel stream behind
 //! [`crate::stream::open_stream`] (online). Each driver obtains a fresh
-//! kernel once per trace and owns the RNG it passes to every step, so the
-//! three paths make the same per-record operations and the same RNG draws
-//! in the same order — bit-identical by construction. Whole-trace
-//! mechanisms (resampling, dropping, composing) have no kernel: they
-//! override `protect_trace`, and the column and stream paths fall back to
-//! it.
+//! kernel once per trace and owns the RNG it passes to every step. The
+//! drivers hand the kernel runs of consecutive records, protected in
+//! place: the row driver the whole trace, the column driver fixed-size
+//! chunks from a buffer on its stack, the stream one record per push.
+//!
+//! The draw-order rule makes the cut irrelevant: a kernel draws every
+//! record's randomness in record order, whatever the length of its run, so
+//! chunking never changes which draw a record gets. The three paths
+//! therefore make the same per-record operations and the same RNG draws
+//! in the same order — bit-identical by construction — while a kernel may
+//! batch the arithmetic of a run (GEO-I inverts four radii at a time).
+//! Whole-trace mechanisms (resampling, dropping, composing) have no
+//! kernel: they override `protect_trace`, and the column and stream paths
+//! fall back to it.
 
 use crate::error::LppmError;
 use crate::params::ParameterDescriptor;
+use geopriv_geo::{GeoPoint, Seconds};
 use geopriv_mobility::{Dataset, DatasetBuilder, Record, Trace, TraceView};
 use rand::RngCore;
 
@@ -24,12 +33,23 @@ use rand::RngCore;
 /// A kernel is created fresh for each trace (see [`Lppm::kernel`]) and may
 /// carry state across the records of that trace — GEO-I and Gaussian
 /// perturbation anchor their planar projection on the first record they
-/// step. The driver that calls it owns the RNG and the record count.
+/// step. The driver that calls it owns the RNG and the record count, and
+/// hands the trace over in runs of consecutive records: the whole trace
+/// (rows), fixed-size chunks (columns) or one record at a time (stream).
+///
+/// **Draw-order rule.** A kernel draws every record's randomness in record
+/// order, whatever the length of the run it is given, so how a driver cuts
+/// a trace into runs never changes which draw a record gets: the three
+/// drivers release the same bits.
 pub trait RecordKernel: Send {
-    /// Protects the next record of the trace, drawing any randomness from
-    /// `rng`, and returns its protected twin.
-    fn step(&mut self, record: Record, rng: &mut dyn RngCore) -> Record;
+    /// Protects the next `records` of the trace in place, drawing any
+    /// randomness from `rng` in record order.
+    fn step(&mut self, records: &mut [Record], rng: &mut dyn RngCore);
 }
+
+/// The number of records the column driver steps at a time, from a buffer
+/// on its stack.
+const CHUNK: usize = 64;
 
 /// A Location Privacy Protection Mechanism.
 ///
@@ -65,7 +85,7 @@ pub trait Lppm: Send + Sync {
     /// Protects a single trace.
     ///
     /// The default is the row driver: it steps a fresh [`Lppm::kernel`] over
-    /// the trace's records in order. Mechanisms without a kernel override it.
+    /// the trace's records in place, as one run. Mechanisms without a kernel override it.
     ///
     /// # Errors
     ///
@@ -76,7 +96,8 @@ pub trait Lppm: Send + Sync {
     fn protect_trace(&self, trace: &Trace, rng: &mut dyn RngCore) -> Result<Trace, LppmError> {
         let mut kernel =
             self.kernel().ok_or_else(|| LppmError::NoKernel { mechanism: self.name().into() })?;
-        let records = trace.iter().map(|record| kernel.step(record, rng)).collect();
+        let mut records = trace.to_records();
+        kernel.step(&mut records, rng);
         Ok(Trace::new(trace.user(), records)?)
     }
 
@@ -84,9 +105,10 @@ pub trait Lppm: Send + Sync {
     /// protected trace to the columnar `out` builder.
     ///
     /// This is the column driver and the hot path of
-    /// [`Lppm::protect_dataset`]: with a kernel it writes each protected
-    /// record straight into the shared output columns, skipping every
-    /// intermediate `Vec<Record>`. Without one it materializes the view and
+    /// [`Lppm::protect_dataset`]: with a kernel it steps the trace in
+    /// fixed-size chunks copied into a buffer on its stack and writes each
+    /// protected record straight into the shared output columns, skipping
+    /// every intermediate `Vec<Record>`. Without one it materializes the view and
     /// falls back to [`Lppm::protect_trace`] — correct for any mechanism,
     /// including those that drop or resample records.
     ///
@@ -106,9 +128,21 @@ pub trait Lppm: Send + Sync {
             return Ok(());
         };
         out.begin_trace(trace.user());
-        for record in trace.iter() {
-            let protected = kernel.step(record, rng);
-            out.push_record(protected.timestamp(), protected.location());
+        let mut records = trace.iter();
+        let mut buffer = [Record::new(Seconds::new(0.0), GeoPoint::clamped(0.0, 0.0)); CHUNK];
+        loop {
+            let mut filled = 0;
+            for (slot, record) in buffer.iter_mut().zip(&mut records) {
+                *slot = record;
+                filled += 1;
+            }
+            let Some(chunk) = buffer.get_mut(..filled).filter(|chunk| !chunk.is_empty()) else {
+                break;
+            };
+            kernel.step(chunk, rng);
+            for protected in chunk.iter() {
+                out.push_record(protected.timestamp(), protected.location());
+            }
         }
         out.finish_trace()?;
         Ok(())
@@ -167,15 +201,12 @@ impl Lppm for Identity {
 /// The identity is its own kernel: every record passes unchanged, drawing
 /// no randomness.
 impl RecordKernel for Identity {
-    fn step(&mut self, record: Record, _rng: &mut dyn RngCore) -> Record {
-        record
-    }
+    fn step(&mut self, _records: &mut [Record], _rng: &mut dyn RngCore) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geopriv_geo::{GeoPoint, Seconds};
     use geopriv_mobility::UserId;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -142,20 +142,25 @@ impl UtilityMetric for AreaCoverage {
         let grid = Grid::new(bounds, self.cell_size)?;
 
         let mut per_user = Vec::with_capacity(pairs.len());
+        // The area ratio needs only the two coverage sizes: one key buffer,
+        // reused by every trace of the call, counts them.
+        let mut keys = Vec::new();
         for (actual_trace, protected_trace) in pairs {
-            let actual_cells = grid.coverage(actual_trace.iter().map(|r| r.location()));
-            let protected_cells = grid.coverage(protected_trace.iter().map(|r| r.location()));
+            let actual_points = actual_trace.iter().map(|r| r.location());
+            let protected_points = protected_trace.iter().map(|r| r.location());
             let similarity = match self.similarity {
                 CoverageSimilarity::AreaRatio => {
-                    let a = actual_cells.len() as f64;
-                    let p = protected_cells.len() as f64;
+                    let a = grid.count_cells(actual_points, &mut keys) as f64;
+                    let p = grid.count_cells(protected_points, &mut keys) as f64;
                     if a == 0.0 && p == 0.0 {
                         1.0
                     } else {
                         a.min(p) / a.max(p)
                     }
                 }
-                CoverageSimilarity::CellF1 => actual_cells.f1_of(&protected_cells),
+                CoverageSimilarity::CellF1 => {
+                    grid.coverage(actual_points).f1_of(&grid.coverage(protected_points))
+                }
             };
             per_user.push((actual_trace.user(), similarity));
         }

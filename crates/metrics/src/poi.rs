@@ -102,9 +102,8 @@ impl PoiExtractor {
 
     /// Extracts the POIs of a trace, in chronological order.
     pub fn extract(&self, trace: TraceView<'_>) -> Vec<Poi> {
-        let n = trace.len();
         let mut pois = Vec::new();
-        if n == 0 {
+        if trace.is_empty() {
             return pois;
         }
         let timestamps = trace.timestamps();
@@ -112,30 +111,37 @@ impl PoiExtractor {
         let projected: Vec<Point> =
             trace.iter().map(|r| projection.project(r.location())).collect();
 
+        // A candidate stay starts at the anchor record `i`.
         let mut i = 0;
-        while i < n {
+        while let Some((&anchor, rest)) = projected.get(i..).and_then(|s| s.split_first()) {
             // Extend the candidate stay as long as records remain within
-            // max_diameter of the anchor record i.
-            let mut j = i + 1;
-            while j < n
-                && projected[j].distance_to(projected[i]).as_f64() <= self.max_diameter.as_f64()
-            {
-                j += 1;
-            }
-            // Records i..j stay near the anchor; check the dwell duration.
-            let dwell = Seconds::new(timestamps[j - 1]) - Seconds::new(timestamps[i]);
-            if dwell >= self.min_dwell {
-                let centroid_planar =
-                    geopriv_geo::point::centroid(&projected[i..j]).expect("run is non-empty");
-                pois.push(Poi {
-                    location: projection.unproject(centroid_planar),
-                    start: Seconds::new(timestamps[i]),
-                    end: Seconds::new(timestamps[j - 1]),
-                    record_count: j - i,
-                });
-                i = j;
-            } else {
-                i += 1;
+            // max_diameter of the anchor record.
+            let len = 1 + rest
+                .iter()
+                .take_while(|p| p.distance_to(anchor).as_f64() <= self.max_diameter.as_f64())
+                .count();
+            // Records i..i + len stay near the anchor; check the dwell duration.
+            let stay = projected.get(i..i + len).unwrap_or_default();
+            let times = timestamps.get(i..i + len).unwrap_or_default();
+            let poi = match (times.first(), times.last()) {
+                (Some(&start), Some(&end))
+                    if Seconds::new(end) - Seconds::new(start) >= self.min_dwell =>
+                {
+                    geopriv_geo::point::centroid(stay).map(|centroid_planar| Poi {
+                        location: projection.unproject(centroid_planar),
+                        start: Seconds::new(start),
+                        end: Seconds::new(end),
+                        record_count: len,
+                    })
+                }
+                _ => None,
+            };
+            match poi {
+                Some(poi) => {
+                    pois.push(poi);
+                    i += len;
+                }
+                None => i += 1,
             }
         }
         pois

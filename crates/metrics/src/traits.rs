@@ -121,10 +121,11 @@ impl DatasetFingerprint {
                     // collides the way a plain rotate-xor fold would for
                     // positions 64 apart.
                     let mut hash = 0xcbf2_9ce4_8422_2325u64;
-                    for i in 0..t.len() {
-                        let mixed = t.timestamps()[i].to_bits()
-                            ^ t.latitudes()[i].to_bits().rotate_left(21)
-                            ^ t.longitudes()[i].to_bits().rotate_left(42);
+                    let columns = t.timestamps().iter().zip(t.latitudes()).zip(t.longitudes());
+                    for ((time, lat), lon) in columns {
+                        let mixed = time.to_bits()
+                            ^ lat.to_bits().rotate_left(21)
+                            ^ lon.to_bits().rotate_left(42);
                         hash = (hash ^ mixed).wrapping_mul(0x100_0000_01b3);
                     }
                     (t.user().value(), t.len(), hash)
@@ -262,9 +263,9 @@ impl MetricValue {
         let mut index = std::collections::BTreeMap::new();
         let mut merged: Vec<(UserId, f64, usize)> = Vec::with_capacity(per_user.len());
         for (user, v) in per_user {
-            match index.get(&user) {
-                Some(&i) => {
-                    let (_, sum, count): &mut (UserId, f64, usize) = &mut merged[i];
+            // `index` only holds positions of entries already in `merged`.
+            match index.get(&user).and_then(|&i| merged.get_mut(i)) {
+                Some((_, sum, count)) => {
                     *sum += v;
                     *count += 1;
                 }

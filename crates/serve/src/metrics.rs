@@ -1,10 +1,12 @@
 //! Request metrics: per-route/status counters and a latency histogram,
 //! rendered in the Prometheus text exposition format on `GET /metrics`.
 //!
-//! The histogram uses fixed buckets (decade thirds from 100 µs to 1 s) so
-//! the rendering is allocation-free on the hot path: recording a request is
-//! a handful of atomic increments plus one short mutex hold for the
-//! route/status counter map.
+//! The histogram uses fixed, log-spaced buckets (decade thirds from 1 µs to
+//! 1 s) so the rendering is allocation-free on the hot path: recording a
+//! request is a handful of atomic increments plus one short mutex hold for
+//! the route/status counter map. The bounds start at 1 µs because a
+//! `/protect` handler takes ~1.5 µs: a first bucket at 100 µs would hold
+//! every request and resolve nothing.
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -12,9 +14,12 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Upper bounds (seconds) of the latency histogram buckets; an implicit
-/// `+Inf` bucket follows.
-const BUCKET_BOUNDS_S: [f64; 9] = [0.0001, 0.000316, 0.001, 0.00316, 0.01, 0.0316, 0.1, 0.316, 1.0];
+/// Upper bounds (seconds) of the latency histogram buckets, three per
+/// decade from 1 µs; an implicit `+Inf` bucket follows.
+const BUCKET_BOUNDS_S: [f64; 13] = [
+    0.000001, 0.00000316, 0.00001, 0.0000316, 0.0001, 0.000316, 0.001, 0.00316, 0.01, 0.0316, 0.1,
+    0.316, 1.0,
+];
 
 /// Counters and latency histogram for the serving request path.
 ///
@@ -127,8 +132,8 @@ mod tests {
         assert!(text.contains("geopriv_requests_total{route=\"/protect\",status=\"200\"} 2"));
         assert!(text.contains("geopriv_requests_total{route=\"/protect\",status=\"400\"} 1"));
         assert!(text.contains("geopriv_requests_total{route=\"/metrics\",status=\"200\"} 1"));
-        // 50 µs lands in the first bucket; cumulative counts are monotone and
-        // the +Inf bucket equals the total.
+        // 50 µs is the only request up to the 100 µs bound; cumulative
+        // counts are monotone and the +Inf bucket equals the total.
         assert!(text.contains("geopriv_request_seconds_bucket{le=\"0.0001\"} 1"));
         assert!(text.contains("geopriv_request_seconds_bucket{le=\"+Inf\"} 4"));
         assert!(text.contains("geopriv_request_seconds_count 4"));
@@ -153,6 +158,29 @@ mod tests {
         let text = metrics.render();
         assert!(text.contains("geopriv_request_seconds_sum 0.0015\n"), "{text}");
         assert!(text.contains("geopriv_request_seconds_count 1000\n"), "{text}");
+    }
+
+    #[test]
+    fn microsecond_handlers_resolve_below_the_first_bucket() {
+        let metrics = RequestMetrics::new();
+        metrics.record("/protect", 200, Duration::from_nanos(800));
+        for _ in 0..3 {
+            metrics.record("/protect", 200, Duration::from_nanos(1_500));
+        }
+        metrics.record("/protect", 200, Duration::from_micros(20));
+        let text = metrics.render();
+        // Bounds start at 1 µs and are log-spaced, three per decade.
+        assert_eq!(BUCKET_BOUNDS_S.first(), Some(&0.000001));
+        assert!(BUCKET_BOUNDS_S.iter().zip(BUCKET_BOUNDS_S.iter().skip(1)).all(|(a, b)| {
+            let ratio = b / a;
+            (3.0..3.4).contains(&ratio)
+        }));
+        // A ~1.5 µs handler lands in the second bucket, not the first.
+        assert!(text.contains("geopriv_request_seconds_bucket{le=\"0.000001\"} 1\n"), "{text}");
+        assert!(text.contains("geopriv_request_seconds_bucket{le=\"0.00000316\"} 4\n"), "{text}");
+        assert!(text.contains("geopriv_request_seconds_bucket{le=\"0.00001\"} 4\n"), "{text}");
+        assert!(text.contains("geopriv_request_seconds_bucket{le=\"0.0000316\"} 5\n"), "{text}");
+        assert!(text.contains("geopriv_request_seconds_bucket{le=\"+Inf\"} 5\n"), "{text}");
     }
 
     #[test]
