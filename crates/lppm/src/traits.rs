@@ -85,7 +85,8 @@ pub trait Lppm: Send + Sync {
     /// Protects a single trace.
     ///
     /// The default is the row driver: it steps a fresh [`Lppm::kernel`] over
-    /// the trace's records in place, as one run. Mechanisms without a kernel override it.
+    /// the trace's records in place, as one run. Mechanisms without a kernel
+    /// override it.
     ///
     /// # Errors
     ///
@@ -108,9 +109,9 @@ pub trait Lppm: Send + Sync {
     /// [`Lppm::protect_dataset`]: with a kernel it steps the trace in
     /// fixed-size chunks copied into a buffer on its stack and writes each
     /// protected record straight into the shared output columns, skipping
-    /// every intermediate `Vec<Record>`. Without one it materializes the view and
-    /// falls back to [`Lppm::protect_trace`] — correct for any mechanism,
-    /// including those that drop or resample records.
+    /// every intermediate `Vec<Record>`. Without one it materializes the
+    /// view and falls back to [`Lppm::protect_trace`] — correct for any
+    /// mechanism, including those that drop or resample records.
     ///
     /// # Errors
     ///
