@@ -1,7 +1,7 @@
 //! Multi-axis grid-study throughput baseline: times the 2-D configuration
 //! study (GEO-I ε × grid-cloaking cell size composed as one pipeline, full
 //! factorial through `ExperimentRunner`) and emits a `BENCH_grid.json`
-//! baseline alongside the sweep/campaign baselines, so regressions on the
+//! baseline alongside the sweep baseline, so regressions on the
 //! multi-axis path are visible independently of the 1-D sweep.
 //!
 //! ```text

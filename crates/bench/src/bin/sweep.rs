@@ -1,8 +1,7 @@
 //! Single-sweep throughput baseline: times the standard paper workload (one
 //! GEO-I ε sweep of the reproduction dataset through `ExperimentRunner`) and
-//! emits a `BENCH_sweep.json` baseline alongside `BENCH_campaign.json`, so
-//! single-sweep regressions are visible independently of the campaign
-//! engine's scheduling.
+//! emits a `BENCH_sweep.json` baseline, so single-sweep regressions are
+//! visible on their own.
 //!
 //! ```text
 //! cargo run -p geopriv-bench --release --bin sweep \

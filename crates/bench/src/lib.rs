@@ -15,7 +15,6 @@
 //! | `ablations` | sensitivity of the curves to metric/dataset parameters and other LPPMs |
 //! | `sweep` | single-sweep throughput baseline (`BENCH_sweep.json`) |
 //! | `grid` | 2-D grid-study throughput baseline (`BENCH_grid.json`) |
-//! | `campaign` | campaign-vs-independent-sweeps baseline (`BENCH_campaign.json`) |
 //! | `serve` | serving-path loopback throughput baseline (`BENCH_serve.json`) |
 //!
 //! The Criterion benches (`benches/`) measure the throughput of the
@@ -127,28 +126,6 @@ pub fn reproduction_dataset(fidelity: Fidelity) -> Dataset {
 pub fn run_paper_sweep(dataset: &Dataset, fidelity: Fidelity) -> Result<SweepResult, CoreError> {
     let system = SystemDefinition::paper_geoi();
     ExperimentRunner::new(campaign_config(fidelity)).run(&system, dataset)
-}
-
-/// The three systems of the campaign workloads: the paper's GEO-I system plus
-/// grid-cloaking and Gaussian-perturbation variants sharing the same
-/// privacy/utility metric pair — the "multiple LPPMs, same objectives" study
-/// the framework was built for.
-pub fn campaign_systems() -> Vec<SystemDefinition> {
-    vec![
-        SystemDefinition::paper_geoi(),
-        SystemDefinition::with_pair(
-            Box::new(GridCloakingFactory::new()),
-            Box::new(PoiRetrieval::default()),
-            Box::new(AreaCoverage::default()),
-        )
-        .expect("distinct metric names"),
-        SystemDefinition::with_pair(
-            Box::new(GaussianPerturbationFactory::new()),
-            Box::new(PoiRetrieval::default()),
-            Box::new(AreaCoverage::default()),
-        )
-        .expect("distinct metric names"),
-    ]
 }
 
 /// Builder for the `BENCH_*.json` baseline files the bench binaries emit, so
@@ -378,8 +355,8 @@ pub fn median_seconds(times: &mut [f64]) -> f64 {
     times[times.len() / 2]
 }
 
-/// The sweep configuration the campaign workloads use at a given fidelity —
-/// the same configuration [`run_paper_sweep`] applies per system.
+/// The sweep configuration the sweep-family workloads (`sweep`, `per_user`,
+/// `incremental_refresh`, [`run_paper_sweep`]) use at a given fidelity.
 pub fn campaign_config(fidelity: Fidelity) -> SweepConfig {
     SweepConfig {
         points: fidelity.sweep_points(),
@@ -424,19 +401,7 @@ mod tests {
     }
 
     #[test]
-    fn campaign_workload_is_well_formed() {
-        let systems = campaign_systems();
-        assert_eq!(systems.len(), 3);
-        // Three distinct mechanisms sharing one metric pair.
-        let keys: std::collections::BTreeSet<String> =
-            systems.iter().map(|s| s.cache_key()).collect();
-        assert_eq!(keys.len(), 3);
-        for system in &systems {
-            assert_eq!(
-                system.suite().ids(),
-                vec![MetricId::new("poi-retrieval"), MetricId::new("area-coverage")]
-            );
-        }
+    fn campaign_config_follows_the_fidelity() {
         let config = campaign_config(Fidelity::Smoke);
         assert_eq!(config.points, Fidelity::Smoke.sweep_points());
         assert_eq!(config.seed, REPRODUCTION_SEED);

@@ -1,26 +1,20 @@
-//! Campaign engine: many systems × many datasets through one shared work pool.
+//! Campaigns: many systems × many datasets under one sweep plan.
 //!
 //! The paper's Figure 1 family evaluates *multiple* LPPMs against the same
-//! metric suite. Running each sweep through its own
-//! [`crate::ExperimentRunner`] wastes work twice: every run re-extracts the
-//! actual dataset's POIs, quadtrees and grids at each of its sweep samples,
-//! and each run synchronizes on its own thread pool, leaving cores idle at
-//! every sweep boundary.
+//! metric suite. [`CampaignRunner`] runs that study as an in-order loop over
+//! `(system, dataset)` cells, each through the same dispatcher as
+//! [`crate::ExperimentRunner::run`], so every plan (grid, one-at-a-time,
+//! sharded, cached, adaptive) behaves in a cell exactly as it does alone.
+//! The one thing the cells share is the actual-side metric state: each
+//! metric's [`geopriv_metrics::PrivacyMetric::prepare`] hook runs once per
+//! distinct `(metric configuration, dataset)` pair of the campaign, and every
+//! point, repetition, refinement round, system and suite position reuses it.
 //!
-//! [`CampaignRunner`] fixes both. It flattens an M-system × K-dataset study
-//! into one pool of `(system, dataset, point, repetition)` work units that
-//! threads claim greedily, and it calls each metric's
-//! [`geopriv_metrics::PrivacyMetric::prepare`] hook exactly once per distinct
-//! `(metric configuration, dataset)` pair, sharing the prepared actual-side
-//! state across every point, repetition, system and suite position of the
-//! campaign.
-//!
-//! Determinism is preserved exactly: the per-unit RNG seed is derived by the
-//! same [`derive_unit_seed`] contract the [`crate::ExperimentRunner`] uses —
-//! a function of the master seed, the point index and the repetition index
-//! only — and each metric guarantees that prepared evaluation is bit-identical
-//! to direct evaluation. A campaign therefore returns the exact
-//! [`SweepResult`]s that M × K independent sequential runs would produce.
+//! Determinism is preserved exactly: a cell draws the same seeds as an
+//! independent run with the same plan, and each metric guarantees that
+//! prepared evaluation is bit-identical to direct evaluation. A campaign
+//! therefore returns the exact [`SweepResult`]s that M × K independent runs
+//! would produce.
 //!
 //! # Examples
 //!
@@ -51,19 +45,9 @@
 //! ```
 
 use crate::error::CoreError;
-use crate::experiment::{
-    assemble_sweep, derive_unit_seed, run_indexed, MetricSample, SweepConfig, SweepMode, SweepPlan,
-    SweepResult,
-};
+use crate::experiment::{ExperimentRunner, PrepareCache, SweepConfig, SweepPlan, SweepResult};
 use crate::system::SystemDefinition;
-use geopriv_lppm::ConfigPoint;
-use geopriv_metrics::PreparedState;
-use geopriv_metrics::{Direction, MetricId};
 use geopriv_mobility::Dataset;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// The sweep of one `(system, dataset)` cell of a campaign.
 #[derive(Debug)]
@@ -110,19 +94,11 @@ impl CampaignResult {
     }
 }
 
-/// One schedulable work unit: a single protection + evaluation.
-struct Unit {
-    system: usize,
-    dataset: usize,
-    point: usize,
-    repetition: usize,
-}
-
-/// Runs campaigns of M systems × K datasets on a shared work pool.
+/// Runs campaigns of M systems × K datasets, one cell at a time.
 ///
-/// The same [`SweepConfig`] (points, repetitions, master seed, parallelism)
-/// applies to every system, exactly as if each were run through its own
-/// [`crate::ExperimentRunner`] with that configuration.
+/// The same [`SweepPlan`] (points, repetitions, master seed, parallelism,
+/// mode, grain, sharding, cache) applies to every system, exactly as if each
+/// were run through its own [`crate::ExperimentRunner`] with that plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignRunner {
     plan: SweepPlan,
@@ -155,11 +131,9 @@ impl CampaignRunner {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfiguration`] for an invalid sweep
-    /// configuration or empty `systems`/`datasets`. A failing work unit
-    /// short-circuits the rest of the campaign; the error propagated is the
-    /// first genuine unit error in `(system, dataset, point, repetition)`
-    /// order among the units that ran (in sequential mode, exactly the first
-    /// failing unit).
+    /// configuration or empty `systems`/`datasets`. A failing cell stops the
+    /// campaign; its error is the one [`crate::ExperimentRunner::run`]
+    /// reports for that cell, and no later cell runs.
     pub fn run(
         &self,
         systems: &[SystemDefinition],
@@ -176,290 +150,16 @@ impl CampaignRunner {
                 reason: "a campaign needs at least one dataset".to_string(),
             });
         }
-
-        // Sharded and adaptive plans trade the campaign's cross-cell pooling
-        // for per-cell delegation to the [`crate::ExperimentRunner`] path —
-        // sharded for the O(shard) memory bound, adaptive because its design
-        // matrix is chosen at run time (coarse pass → fit → refine) and so
-        // cannot be flattened into a static unit list. Cells run one at a
-        // time in (system, dataset) order (each cell still drives the shared
-        // work pool internally), and the results are bit-identical to
-        // independent runs by construction — it *is* that code path.
-        if self.plan.user_shard_size().is_some() || self.plan.mode == SweepMode::Adaptive {
-            let runner = crate::experiment::ExperimentRunner::with_plan(self.plan.clone());
-            let mut runs = Vec::with_capacity(systems.len() * datasets.len());
-            for (s, system) in systems.iter().enumerate() {
-                for (d, dataset) in datasets.iter().enumerate() {
-                    runs.push(CampaignRun {
-                        system_index: s,
-                        dataset_index: d,
-                        system_key: system.cache_key(),
-                        result: runner.run(system, dataset)?,
-                    });
-                }
-            }
-            return Ok(CampaignResult { runs });
-        }
-
-        let design_points: Vec<Vec<ConfigPoint>> =
-            systems.iter().map(|s| self.plan.enumerate(&s.space())).collect::<Result<_, _>>()?;
-        let prepared = self.prepare_cells(systems, datasets)?;
-
-        // Flatten the whole campaign into one unit list. Unit index order is
-        // the deterministic (system, dataset, point, repetition) order used
-        // for both error reporting and result assembly.
-        let mut units = Vec::new();
-        for (s, points) in design_points.iter().enumerate() {
-            for d in 0..datasets.len() {
-                for point in 0..points.len() {
-                    for repetition in 0..self.plan.config.repetitions {
-                        units.push(Unit { system: s, dataset: d, point, repetition });
-                    }
-                }
-            }
-        }
-
-        // Short-circuit flag: once any unit fails, remaining units are
-        // skipped (`None`) instead of protecting and evaluating for nothing.
-        // Skipped slots are distinct from errors so a skip can never mask the
-        // genuine failure that caused it, whatever the thread interleaving.
-        let abort = std::sync::atomic::AtomicBool::new(false);
-        let measurements = run_indexed(units.len(), self.plan.config.parallel, |i| {
-            if abort.load(std::sync::atomic::Ordering::Relaxed) {
-                return None;
-            }
-            let resolved = units.get(i).and_then(|unit| {
-                Some((
-                    systems.get(unit.system)?,
-                    datasets.get(unit.dataset)?,
-                    prepared.get(unit.system)?.get(unit.dataset)?,
-                    unit,
-                    design_points.get(unit.system)?.get(unit.point)?,
-                ))
-            });
-            let Some((system, dataset, cell, unit, point)) = resolved else {
-                abort.store(true, std::sync::atomic::Ordering::Relaxed);
-                return Some(Err(CoreError::Internal {
-                    reason: format!("campaign unit {i} of {} out of range", units.len()),
-                }));
-            };
-            let result = self.measure_unit(system, dataset, cell, unit, point);
-            if result.is_err() {
-                abort.store(true, std::sync::atomic::Ordering::Relaxed);
-            }
-            Some(result)
-        })?;
-
-        self.assemble(systems, datasets, &design_points, &units, measurements)
-    }
-
-    /// Prepares the actual-side metric state of every `(system, dataset)`
-    /// cell, sharing state between identically configured metrics: each
-    /// distinct `(metric cache key, dataset)` pair is prepared exactly once
-    /// per campaign, with the distinct preparation jobs running through the
-    /// same work pool as the measurement units.
-    ///
-    /// Returns, per system and dataset, one prepared state per suite metric
-    /// (in suite order).
-    fn prepare_cells(
-        &self,
-        systems: &[SystemDefinition],
-        datasets: &[Dataset],
-    ) -> Result<Vec<Vec<Vec<Arc<PreparedState>>>>, CoreError> {
-        /// A distinct preparation job: which system's metric (by suite
-        /// position) to prepare against which dataset.
-        struct PrepareJob {
-            system: usize,
-            metric: usize,
-            dataset: usize,
-        }
-
-        // Deduplicate by (cache key, dataset) in deterministic (system,
-        // dataset, suite position) order; the map points each cell's metric
-        // at its job index.
-        let mut jobs: Vec<PrepareJob> = Vec::new();
-        let mut job_index: HashMap<(String, usize), usize> = HashMap::new();
-        for (s, system) in systems.iter().enumerate() {
-            for d in 0..datasets.len() {
-                for (k, metric) in system.suite().iter().enumerate() {
-                    job_index.entry((metric.cache_key(), d)).or_insert_with(|| {
-                        jobs.push(PrepareJob { system: s, metric: k, dataset: d });
-                        jobs.len() - 1
-                    });
-                }
-            }
-        }
-
-        let states: Vec<Arc<PreparedState>> =
-            run_indexed(jobs.len(), self.plan.config.parallel, |i| {
-                let resolved = jobs.get(i).and_then(|job| {
-                    let metric = systems.get(job.system)?.suite().metrics().get(job.metric)?;
-                    Some((metric, datasets.get(job.dataset)?))
-                });
-                let Some((metric, dataset)) = resolved else {
-                    return Err(CoreError::Internal {
-                        reason: format!("preparation job {i} of {} out of range", jobs.len()),
-                    });
-                };
-                metric.prepare(dataset).map_err(CoreError::from)
-            })?
-            .into_iter()
-            .map(|state| state.map(Arc::new))
-            .collect::<Result<_, _>>()?;
-
-        systems
-            .iter()
-            .map(|system| {
-                (0..datasets.len())
-                    .map(|d| {
-                        system
-                            .suite()
-                            .iter()
-                            .map(|metric| {
-                                job_index
-                                    .get(&(metric.cache_key(), d))
-                                    .and_then(|&j| states.get(j))
-                                    .map(Arc::clone)
-                                    .ok_or_else(|| CoreError::Internal {
-                                        reason: format!(
-                                            "metric \"{}\" has no prepared state for dataset {d}",
-                                            metric.id()
-                                        ),
-                                    })
-                            })
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Executes one work unit: instantiate, protect, evaluate every suite
-    /// metric against the cell's prepared state, in suite order. At
-    /// [`crate::experiment::Grain::PerUser`] the samples keep their
-    /// user-keyed breakdowns; at dataset grain they are dropped here, inside
-    /// the unit, exactly as [`crate::ExperimentRunner`] does.
-    fn measure_unit(
-        &self,
-        system: &SystemDefinition,
-        dataset: &Dataset,
-        cell: &[Arc<PreparedState>],
-        unit: &Unit,
-        point: &ConfigPoint,
-    ) -> Result<Vec<MetricSample>, CoreError> {
-        let lppm = system.factory().instantiate_at(point)?;
-        let mut rng = StdRng::seed_from_u64(derive_unit_seed(
-            self.plan.config.seed,
-            unit.point,
-            unit.repetition,
-        ));
-        let protected = lppm.protect_dataset(dataset, &mut rng)?;
-        system
-            .suite()
-            .iter()
-            .zip(cell)
-            .map(|(metric, state)| {
-                let measured = metric.evaluate_prepared(state, dataset, &protected)?;
-                Ok(MetricSample::of(&measured, self.plan.grain))
-            })
-            .collect()
-    }
-
-    /// Groups per-unit measurements back into per-cell [`SweepResult`]s,
-    /// reproducing [`crate::ExperimentRunner`]'s aggregation arithmetic
-    /// exactly (repetitions averaged in repetition order, one column per
-    /// suite metric).
-    ///
-    /// Returns the first genuine unit error in unit order; `None` slots mark
-    /// units skipped by the short-circuit after some unit failed.
-    fn assemble(
-        &self,
-        systems: &[SystemDefinition],
-        datasets: &[Dataset],
-        design_points: &[Vec<ConfigPoint>],
-        units: &[Unit],
-        measurements: Vec<Option<Result<Vec<MetricSample>, CoreError>>>,
-    ) -> Result<CampaignResult, CoreError> {
-        // (system, dataset, point) -> per-repetition metric samples.
-        // Systems may sweep differently sized designs (a 2-axis grid next to
-        // a 1-axis sweep), so slots are laid out with per-system offsets.
-        let mut system_offset = Vec::with_capacity(systems.len());
-        let mut total = 0usize;
-        for points in design_points {
-            system_offset.push(total);
-            total += datasets.len() * points.len();
-        }
-        let reps = self.plan.config.repetitions;
-        let slot_of = |system: usize, dataset: usize, point: usize| -> Option<usize> {
-            Some(*system_offset.get(system)? + dataset * design_points.get(system)?.len() + point)
-        };
-        let mut per_point: Vec<Vec<Vec<MetricSample>>> = vec![Vec::with_capacity(reps); total];
-        let mut skipped = false;
-        for (unit, measurement) in units.iter().zip(measurements) {
-            let values = match measurement {
-                Some(result) => result?,
-                None => {
-                    skipped = true;
-                    continue;
-                }
-            };
-            let slot_samples = slot_of(unit.system, unit.dataset, unit.point)
-                .and_then(|slot| per_point.get_mut(slot))
-                .ok_or_else(|| CoreError::Internal {
-                    reason: format!(
-                        "campaign unit ({}, {}, {}) addresses no result slot",
-                        unit.system, unit.dataset, unit.point
-                    ),
-                })?;
-            // Units are generated with `repetition` innermost, and
-            // `run_indexed` returns results in unit order, so pushes arrive
-            // in repetition order — except when an earlier repetition was
-            // skipped by the abort flag, in which case the whole campaign is
-            // discarded below anyway.
-            debug_assert!(skipped || slot_samples.len() == unit.repetition);
-            slot_samples.push(values);
-        }
-        if skipped {
-            // Unreachable in practice: units are only skipped after a failed
-            // unit, and that failure is returned by the loop above.
-            return Err(CoreError::InvalidConfiguration {
-                reason: "campaign aborted without a recorded unit error".to_string(),
-            });
-        }
-
+        let runner = ExperimentRunner::with_plan(self.plan.clone());
+        let mut prepared = PrepareCache::default();
         let mut runs = Vec::with_capacity(systems.len() * datasets.len());
         for (s, system) in systems.iter().enumerate() {
-            let meta: Vec<(MetricId, Direction)> =
-                system.suite().iter().map(|m| (m.id(), m.direction())).collect();
-            let points = design_points.get(s).ok_or_else(|| CoreError::Internal {
-                reason: format!("system {s} has no enumerated design points"),
-            })?;
-            for d in 0..datasets.len() {
-                let cell: Vec<Vec<Vec<MetricSample>>> = (0..points.len())
-                    .map(|point| {
-                        slot_of(s, d, point)
-                            .and_then(|slot| per_point.get_mut(slot))
-                            .map(std::mem::take)
-                            .ok_or_else(|| CoreError::Internal {
-                                reason: format!(
-                                    "campaign cell ({s}, {d}, {point}) addresses no result slot"
-                                ),
-                            })
-                    })
-                    .collect::<Result<_, _>>()?;
+            for (d, dataset) in datasets.iter().enumerate() {
                 runs.push(CampaignRun {
                     system_index: s,
                     dataset_index: d,
                     system_key: system.cache_key(),
-                    result: assemble_sweep(
-                        system.factory().name(),
-                        system.space(),
-                        self.plan.mode,
-                        self.plan.grain,
-                        points.clone(),
-                        &meta,
-                        &cell,
-                    )?,
+                    result: runner.run_with(system, dataset, &mut prepared, d)?,
                 });
             }
         }
@@ -470,14 +170,17 @@ impl CampaignRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::ExperimentRunner;
+    use crate::experiment::SweepMode;
     use crate::system::{GaussianPerturbationFactory, GridCloakingFactory};
     use geopriv_metrics::{
         AreaCoverage, DistortionUtility, HotspotPreservation, MetricError, MetricSuite,
-        MetricValue, PoiRetrieval, PrivacyMetric, SuiteMetric,
+        MetricValue, PoiRetrieval, PreparedState, PrivacyMetric, SuiteMetric,
     };
     use geopriv_mobility::generator::TaxiFleetBuilder;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn small_dataset(seed: u64) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -707,6 +410,28 @@ mod tests {
         assert!(result.is_err());
         // Sequential mode: the first unit fails, every later unit is skipped.
         assert_eq!(evaluations.load(Ordering::SeqCst), 1);
+
+        // A plain sweep stops the same way: once a point fails, no worker
+        // starts another, so each worker evaluates at most its first point.
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for parallel in [false, true] {
+            let evaluations = Arc::new(AtomicUsize::new(0));
+            let system = SystemDefinition::with_pair(
+                Box::new(GaussianPerturbationFactory::new()),
+                Box::new(FailingMetric { evaluations: Arc::clone(&evaluations) }),
+                Box::new(AreaCoverage::default()),
+            )
+            .unwrap();
+            let result = ExperimentRunner::new(SweepConfig { parallel, ..config })
+                .run(&system, &small_dataset(7));
+            assert!(result.is_err(), "parallel: {parallel}");
+            let evaluated = evaluations.load(Ordering::SeqCst);
+            if parallel {
+                assert!((1..=workers).contains(&evaluated), "{evaluated} > {workers} workers");
+            } else {
+                assert_eq!(evaluated, 1);
+            }
+        }
     }
 
     #[test]
@@ -733,6 +458,20 @@ mod tests {
         // 2 systems × 2 datasets × 4 points × 2 repetitions = 32 evaluations,
         // but both systems' metrics share a cache key, so the actual POIs are
         // extracted exactly once per dataset.
+        assert_eq!(prepares.load(Ordering::SeqCst), datasets.len());
+
+        // An adaptive plan measures a new batch every refinement round, all
+        // against the state prepared for the coarse pass.
+        let prepares = Arc::new(AtomicUsize::new(0));
+        let systems = vec![
+            system_with_counter(&prepares, Box::new(GaussianPerturbationFactory::new())),
+            system_with_counter(&prepares, Box::new(GridCloakingFactory::new())),
+        ];
+        let config = SweepConfig { points: 5, parallel: false, ..small_config() };
+        let campaign = CampaignRunner::with_plan(SweepPlan::adaptive(config, 15))
+            .run(&systems, &datasets)
+            .unwrap();
+        assert!(campaign.runs.iter().any(|run| run.result.len() > 5), "no refinement round ran");
         assert_eq!(prepares.load(Ordering::SeqCst), datasets.len());
     }
 }

@@ -16,12 +16,15 @@
 use crate::error::CoreError;
 use crate::system::SystemDefinition;
 use geopriv_lppm::{ConfigPoint, ConfigSpace, ParameterDescriptor, ParameterScale};
-use geopriv_metrics::{Direction, MetricId};
+use geopriv_metrics::{Direction, MetricId, MetricValue, PreparedState};
 use geopriv_mobility::{Dataset, UserId};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::{Entry, HashMap};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Configuration of a parameter sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -401,22 +404,22 @@ impl UserColumn {
     }
 }
 
-/// One metric evaluation as the sweep engines carry it between measurement
+/// One metric evaluation as a sweep carries it between measurement
 /// and assembly: the dataset-level aggregate, plus the user-keyed breakdown
 /// when (and only when) the sweep runs at [`Grain::PerUser`] — dataset-grain
 /// sweeps drop the breakdown inside the work unit, keeping their memory
 /// footprint unchanged.
 #[derive(Debug, Clone)]
-pub(crate) struct MetricSample {
-    pub(crate) value: f64,
+struct MetricSample {
+    value: f64,
     /// Number of evaluated traces behind `value` — the weight sharded
     /// execution combines shard aggregates with.
-    pub(crate) weight: usize,
-    pub(crate) per_user: Vec<(UserId, f64)>,
+    weight: usize,
+    per_user: Vec<(UserId, f64)>,
 }
 
 impl MetricSample {
-    pub(crate) fn of(measured: &geopriv_metrics::MetricValue, grain: Grain) -> Self {
+    fn of(measured: &MetricValue, grain: Grain) -> Self {
         Self {
             value: measured.value(),
             weight: measured.evaluated_count(),
@@ -449,10 +452,10 @@ impl MetricSample {
 /// per-unit breakdowns.
 ///
 /// `per_point[p][r][k]` is the sample of metric `k` at design point `p`,
-/// repetition `r`. Shared by [`ExperimentRunner`] and
-/// [`crate::campaign::CampaignRunner`] so both engines produce identical
-/// stores by construction.
-pub(crate) fn assemble_sweep(
+/// repetition `r`. Every execution mode of [`ExperimentRunner`] (grid,
+/// sharded, cached, adaptive) assembles through it, and so does every cell
+/// of a [`crate::campaign::CampaignRunner`].
+fn assemble_sweep(
     lppm_name: &str,
     space: ConfigSpace,
     mode: SweepMode,
@@ -551,11 +554,11 @@ fn std_dev(values: &[f64]) -> f64 {
 /// Derives the RNG seed of one `(point, repetition)` work unit from the
 /// sweep's master seed.
 ///
-/// This is the seed contract shared by [`ExperimentRunner`] and
-/// [`crate::campaign::CampaignRunner`]: because the derived seed depends only
-/// on the master seed, the point index and the repetition index — never on
-/// scheduling, thread count or the position of the unit inside a larger
-/// campaign — any execution strategy reproduces the exact same random streams.
+/// This is the positional seed contract of grid and one-at-a-time sweeps:
+/// because the derived seed depends only on the master seed, the point index
+/// and the repetition index — never on scheduling, thread count or the cell
+/// of a [`crate::campaign::CampaignRunner`] the sweep runs in — any execution
+/// strategy reproduces the exact same random streams.
 pub fn derive_unit_seed(master_seed: u64, point_index: usize, repetition: usize) -> u64 {
     master_seed
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -647,12 +650,78 @@ pub fn derive_user_seed(
 }
 
 /// How a design point derives its RNG streams: positionally (the
-/// Grid/OneAtATime contract, [`derive_unit_seed`]) or from its stable
-/// coordinate token ([`derive_point_seed`], adaptive refinement).
+/// Grid/OneAtATime contract, [`derive_unit_seed`]), from its stable
+/// coordinate token ([`derive_point_seed`], adaptive refinement) or from the
+/// identity of the one user it measures ([`derive_user_seed`], cached
+/// execution).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Seeding {
     Positional,
     PointIdentity,
+    User(UserId),
+}
+
+impl Seeding {
+    /// The RNG seed of one `(point, repetition, shard)` sample — the one
+    /// place a sweep chooses its random stream. Shard 0 is the unsharded
+    /// stream ([`remix_shard`]).
+    fn seed(
+        self,
+        master_seed: u64,
+        index: usize,
+        point: &ConfigPoint,
+        repetition: usize,
+        shard: usize,
+    ) -> u64 {
+        let unit = match self {
+            Seeding::Positional => derive_unit_seed(master_seed, index, repetition),
+            Seeding::PointIdentity => derive_point_seed(master_seed, point, repetition),
+            Seeding::User(user) => derive_user_seed(master_seed, index, repetition, user),
+        };
+        remix_shard(unit, shard)
+    }
+}
+
+/// Actual-side metric state ([`geopriv_metrics::PrivacyMetric::prepare`])
+/// keyed by `(metric cache key, dataset index)`. Each pair is prepared once
+/// and shared by every refinement round of a run and, inside a
+/// [`crate::campaign::CampaignRunner`], by every cell; identically
+/// configured metrics share one state.
+#[derive(Default)]
+pub(crate) struct PrepareCache {
+    states: HashMap<(String, usize), Arc<PreparedState>>,
+}
+
+impl PrepareCache {
+    /// The prepared state of every suite metric (suite order) against
+    /// `dataset`, the dataset numbered `index` in this cache.
+    fn suite(
+        &mut self,
+        system: &SystemDefinition,
+        dataset: &Dataset,
+        index: usize,
+    ) -> Result<Vec<Arc<PreparedState>>, CoreError> {
+        system
+            .suite()
+            .iter()
+            .map(|metric| {
+                let state = match self.states.entry((metric.cache_key(), index)) {
+                    Entry::Occupied(entry) => entry.into_mut(),
+                    Entry::Vacant(entry) => entry.insert(Arc::new(metric.prepare(dataset)?)),
+                };
+                Ok(Arc::clone(state))
+            })
+            .collect()
+    }
+}
+
+/// What a run measures its design points against.
+enum Scope {
+    /// The whole dataset, with the suite's state prepared once per run.
+    Whole(Vec<Arc<PreparedState>>),
+    /// Contiguous shards of this many users, each prepared on its own so
+    /// only one shard's state is live at a time.
+    Shards(usize),
 }
 
 /// Runs `count` independent work items on a shared work-stealing pool and
@@ -678,9 +747,14 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads =
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(count).max(1);
-    if !parallel || threads == 1 {
+    // Sequential calls skip the core-count query: on Linux it reads cgroup
+    // files, a cost the cached path would pay once per user.
+    let threads = if parallel {
+        std::thread::available_parallelism().map_or(1, |n| n.get()).min(count).max(1)
+    } else {
+        1
+    };
+    if threads == 1 {
         return Ok((0..count).map(work).collect());
     }
     let results: Mutex<Vec<Option<T>>> = Mutex::new((0..count).map(|_| None).collect());
@@ -1032,29 +1106,58 @@ impl ExperimentRunner {
     ///
     /// The actual-side metric state (POI extraction, bounding boxes — see
     /// [`geopriv_metrics::PrivacyMetric::prepare`]) is prepared once for the
-    /// whole sweep and reused at every `(point, repetition)` sample; the
-    /// metrics guarantee this is bit-identical to direct evaluation.
+    /// whole run and reused at every `(point, repetition)` sample and every
+    /// refinement round; the metrics guarantee this is bit-identical to
+    /// direct evaluation.
     ///
     /// Results are deterministic for a given `(dataset, config.seed)` pair,
     /// regardless of the number of threads.
     ///
     /// # Errors
     ///
-    /// Propagates configuration, protection and metric errors.
+    /// Propagates configuration, protection and metric errors. A failing
+    /// sample stops the sweep from starting new design points; the error
+    /// returned is the one at the lowest design-point index among the points
+    /// that ran (in sequential mode, exactly the first failing point).
     pub fn run(
         &self,
         system: &SystemDefinition,
         dataset: &Dataset,
     ) -> Result<SweepResult, CoreError> {
+        self.run_with(system, dataset, &mut PrepareCache::default(), 0)
+    }
+
+    /// The dispatcher behind [`ExperimentRunner::run`] and every cell of a
+    /// [`crate::campaign::CampaignRunner`]: whole-dataset state comes from
+    /// `prepared`, where `dataset` is numbered `dataset_index`.
+    pub(crate) fn run_with(
+        &self,
+        system: &SystemDefinition,
+        dataset: &Dataset,
+        prepared: &mut PrepareCache,
+        dataset_index: usize,
+    ) -> Result<SweepResult, CoreError> {
         if self.plan.cache_directory().is_some() {
             return Ok(self.run_cached(system, dataset)?.result);
         }
         let space = system.space();
-        if self.plan.mode == SweepMode::Adaptive {
-            return self.run_adaptive(system, dataset, space);
-        }
         let points = self.plan.enumerate(&space)?;
-        let per_point = self.measure_points(system, dataset, &points, Seeding::Positional)?;
+        let scope = match self.plan.user_shard_size() {
+            Some(0) => {
+                return Err(CoreError::InvalidConfiguration {
+                    reason: "a sharded sweep needs a shard size of at least 1 user".to_string(),
+                })
+            }
+            Some(users) if users < dataset.user_count() => Scope::Shards(users),
+            // A shard covering the whole dataset is the unsharded run: same
+            // data, same shard-0 (= unit) seeds, no merge arithmetic.
+            _ => Scope::Whole(prepared.suite(system, dataset, dataset_index)?),
+        };
+        if self.plan.mode == SweepMode::Adaptive {
+            return self.run_adaptive(system, dataset, &scope, space, points);
+        }
+        let per_point =
+            self.measure_points(system, dataset, &scope, &points, Seeding::Positional)?;
         assemble_sweep(
             system.factory().name(),
             space,
@@ -1141,14 +1244,31 @@ impl ExperimentRunner {
         }
         let hits = entries.iter().filter(|slot| slot.is_some()).count();
 
-        // Re-measure the misses, one user-slice at a time, in parallel.
+        // Re-measure the misses, one user-slice at a time, in parallel. The
+        // user loop is the only parallel level: each user's design runs in
+        // order on the worker that claimed the user.
         let measured = run_indexed(misses.len(), self.plan.config.parallel, |j| {
             let Some(&(index, user, fingerprint)) = misses.get(j) else {
                 return Err(CoreError::Internal {
                     reason: format!("cache miss {j} of {} out of range", misses.len()),
                 });
             };
-            let per_point = self.measure_user(system, dataset, index, user, &points)?;
+            let slice = dataset.user_slice(index..index + 1)?;
+            let prepared = PrepareCache::default().suite(system, &slice, 0)?;
+            let per_point = self.measure_shard(
+                system,
+                &slice,
+                &prepared,
+                &points,
+                0,
+                Seeding::User(user),
+                false,
+                &|measured: &MetricValue| crate::cache::CachedSample {
+                    value: measured.value(),
+                    weight: measured.evaluated_count() as u64,
+                    breakdown: measured.value_for(user),
+                },
+            )?;
             crate::cache::CachedUserEntry::new(
                 user,
                 fingerprint,
@@ -1245,120 +1365,41 @@ impl ExperimentRunner {
         })
     }
 
-    /// Measures one user's whole design: protect her own slice at every
-    /// `(point, repetition)` under her identity-keyed seed stream, evaluate
-    /// every suite metric against per-user prepared state.
-    fn measure_user(
-        &self,
-        system: &SystemDefinition,
-        dataset: &Dataset,
-        index: usize,
-        user: UserId,
-        points: &[ConfigPoint],
-    ) -> Result<Vec<Vec<Vec<crate::cache::CachedSample>>>, CoreError> {
-        let slice = dataset.user_slice(index..index + 1)?;
-        let prepared: Vec<geopriv_metrics::PreparedState> = system
-            .suite()
-            .iter()
-            .map(|m| m.prepare(&slice).map_err(CoreError::from))
-            .collect::<Result<_, _>>()?;
-        let mut per_point = Vec::with_capacity(points.len());
-        for (p, point) in points.iter().enumerate() {
-            let lppm = system.factory().instantiate_at(point)?;
-            let mut point_reps = Vec::with_capacity(self.plan.config.repetitions);
-            for repetition in 0..self.plan.config.repetitions {
-                let seed = derive_user_seed(self.plan.config.seed, p, repetition, user);
-                let mut rng = StdRng::seed_from_u64(seed);
-                let protected = lppm.protect_dataset(&slice, &mut rng)?;
-                let mut samples = Vec::with_capacity(system.suite().len());
-                for (metric, state) in system.suite().iter().zip(&prepared) {
-                    let measured = metric.evaluate_prepared(state, &slice, &protected)?;
-                    samples.push(crate::cache::CachedSample {
-                        value: measured.value(),
-                        weight: measured.evaluated_count() as u64,
-                        breakdown: measured.value_for(user),
-                    });
-                }
-                point_reps.push(samples);
-            }
-            per_point.push(point_reps);
-        }
-        Ok(per_point)
-    }
-
     fn suite_meta(system: &SystemDefinition) -> Vec<(MetricId, Direction)> {
         system.suite().iter().map(|m| (m.id(), m.direction())).collect()
     }
 
-    /// Measures an arbitrary batch of design points — the full enumeration of
-    /// a one-shot plan, or one refinement batch of an adaptive plan — with
-    /// the plan's shard dispatch applied either way.
+    /// Measures a batch of design points — the full enumeration of a
+    /// one-shot plan, or one refinement batch of an adaptive plan — over the
+    /// run's [`Scope`]: the whole dataset, or one user shard at a time folded
+    /// together ([`MetricSample::absorb`]) so that only one shard's columns,
+    /// protected copies and prepared state are live at any moment.
     fn measure_points(
         &self,
         system: &SystemDefinition,
         dataset: &Dataset,
+        scope: &Scope,
         points: &[ConfigPoint],
         seeding: Seeding,
     ) -> Result<Vec<Vec<Vec<MetricSample>>>, CoreError> {
-        match self.plan.user_shard_size() {
-            Some(0) => Err(CoreError::InvalidConfiguration {
-                reason: "a sharded sweep needs a shard size of at least 1 user".to_string(),
-            }),
-            // A shard covering the whole dataset is the unsharded run: same
-            // data, same shard-0 (= unit) seeds, no merge arithmetic.
-            Some(users) if users < dataset.user_count() => {
-                self.measure_sharded(system, dataset, points, users, seeding)
+        let parallel = self.plan.config.parallel;
+        let sample = |measured: &MetricValue| MetricSample::of(measured, self.plan.grain);
+        let shard_users = match scope {
+            Scope::Whole(prepared) => {
+                return self.measure_shard(
+                    system, dataset, prepared, points, 0, seeding, parallel, &sample,
+                )
             }
-            _ => self.measure_shard(system, dataset, points, 0, seeding),
-        }
-    }
-
-    /// Measures every design point against one dataset (the whole dataset,
-    /// or one user shard of it), preparing the actual-side metric state once.
-    fn measure_shard(
-        &self,
-        system: &SystemDefinition,
-        dataset: &Dataset,
-        points: &[ConfigPoint],
-        shard: usize,
-        seeding: Seeding,
-    ) -> Result<Vec<Vec<Vec<MetricSample>>>, CoreError> {
-        let prepared: Vec<geopriv_metrics::PreparedState> = system
-            .suite()
-            .iter()
-            .map(|m| m.prepare(dataset).map_err(CoreError::from))
-            .collect::<Result<_, _>>()?;
-
-        // Per point: per repetition: per metric (suite order) sample.
-        run_indexed(points.len(), self.plan.config.parallel, |i| {
-            let Some(point) = points.get(i) else {
-                return Err(CoreError::Internal {
-                    reason: format!("design point {i} of {} out of range", points.len()),
-                });
-            };
-            self.measure_point(system, dataset, &prepared, i, point, shard, seeding)
-        })?
-        .into_iter()
-        .collect()
-    }
-
-    /// Sharded execution: runs the whole design over one contiguous user
-    /// shard at a time and folds the shards together ([`MetricSample::absorb`]).
-    /// Only one shard's columns, protected copies and prepared metric state
-    /// are live at any moment, so peak memory is O(shard), not O(dataset).
-    fn measure_sharded(
-        &self,
-        system: &SystemDefinition,
-        dataset: &Dataset,
-        points: &[ConfigPoint],
-        shard_users: usize,
-        seeding: Seeding,
-    ) -> Result<Vec<Vec<Vec<MetricSample>>>, CoreError> {
+            Scope::Shards(users) => *users,
+        };
         let user_count = dataset.user_count();
         let mut merged: Vec<Vec<Vec<MetricSample>>> = Vec::new();
         for (shard, start) in (0..user_count).step_by(shard_users).enumerate() {
             let slice = dataset.user_slice(start..(start + shard_users).min(user_count))?;
-            let shard_points = self.measure_shard(system, &slice, points, shard, seeding)?;
+            let prepared = PrepareCache::default().suite(system, &slice, 0)?;
+            let shard_points = self.measure_shard(
+                system, &slice, &prepared, points, shard, seeding, parallel, &sample,
+            )?;
             if shard == 0 {
                 merged = shard_points;
             } else {
@@ -1374,35 +1415,81 @@ impl ExperimentRunner {
         Ok(merged)
     }
 
+    /// Measures every design point against one dataset (the whole dataset,
+    /// one user shard or one user's slice) with the suite's state already
+    /// prepared on it, recording each evaluation as `sample` builds it.
+    ///
+    /// After the first failure no new point is measured: a skipped point is
+    /// distinct from an error, so a skip can never mask the failure that
+    /// caused it, whatever the thread interleaving. The error returned is
+    /// the lowest-index one among the points that ran.
     #[allow(clippy::too_many_arguments)]
-    fn measure_point(
+    fn measure_shard<S: Send>(
         &self,
         system: &SystemDefinition,
         dataset: &Dataset,
-        prepared: &[geopriv_metrics::PreparedState],
+        prepared: &[Arc<PreparedState>],
+        points: &[ConfigPoint],
+        shard: usize,
+        seeding: Seeding,
+        parallel: bool,
+        sample: &(impl Fn(&MetricValue) -> S + Sync),
+    ) -> Result<Vec<Vec<Vec<S>>>, CoreError> {
+        let abort = AtomicBool::new(false);
+        let measured = run_indexed(points.len(), parallel, |i| {
+            if abort.load(Ordering::Relaxed) {
+                return None;
+            }
+            let result = match points.get(i) {
+                Some(point) => {
+                    self.measure_point(system, dataset, prepared, i, point, shard, seeding, sample)
+                }
+                None => Err(CoreError::Internal {
+                    reason: format!("design point {i} of {} out of range", points.len()),
+                }),
+            };
+            if result.is_err() {
+                abort.store(true, Ordering::Relaxed);
+            }
+            Some(result)
+        })?;
+        let mut per_point = Vec::with_capacity(points.len());
+        for result in measured.into_iter().flatten() {
+            per_point.push(result?);
+        }
+        if per_point.len() < points.len() {
+            // Unreachable in practice: points are only skipped after a
+            // failed point, and that failure is returned by the loop above.
+            return Err(CoreError::Internal {
+                reason: "sweep aborted without a recorded error".to_string(),
+            });
+        }
+        Ok(per_point)
+    }
+
+    /// The one protect→evaluate routine: protects `dataset` at `point` for
+    /// every repetition under the seed [`Seeding::seed`] picks and evaluates
+    /// every suite metric against its prepared state, in suite order.
+    #[allow(clippy::too_many_arguments)]
+    fn measure_point<S>(
+        &self,
+        system: &SystemDefinition,
+        dataset: &Dataset,
+        prepared: &[Arc<PreparedState>],
         index: usize,
         point: &ConfigPoint,
         shard: usize,
         seeding: Seeding,
-    ) -> Result<Vec<Vec<MetricSample>>, CoreError> {
+        sample: &impl Fn(&MetricValue) -> S,
+    ) -> Result<Vec<Vec<S>>, CoreError> {
         let lppm = system.factory().instantiate_at(point)?;
         let mut reps = Vec::with_capacity(self.plan.config.repetitions);
         for repetition in 0..self.plan.config.repetitions {
-            // Derive a per-(point, repetition, shard) seed so parallel
-            // execution and sequential execution see exactly the same random
-            // streams; shard 0 is the historical per-(point, repetition) seed.
-            let unit = match seeding {
-                Seeding::Positional => derive_unit_seed(self.plan.config.seed, index, repetition),
-                Seeding::PointIdentity => {
-                    derive_point_seed(self.plan.config.seed, point, repetition)
-                }
-            };
-            let mut rng = StdRng::seed_from_u64(remix_shard(unit, shard));
-            let protected = lppm.protect_dataset(dataset, &mut rng)?;
+            let seed = seeding.seed(self.plan.config.seed, index, point, repetition, shard);
+            let protected = lppm.protect_dataset(dataset, &mut StdRng::seed_from_u64(seed))?;
             let mut samples = Vec::with_capacity(system.suite().len());
             for (metric, state) in system.suite().iter().zip(prepared) {
-                let measured = metric.evaluate_prepared(state, dataset, &protected)?;
-                samples.push(MetricSample::of(&measured, self.plan.grain));
+                samples.push(sample(&metric.evaluate_prepared(state, dataset, &protected)?));
             }
             reps.push(samples);
         }
@@ -1431,12 +1518,13 @@ impl ExperimentRunner {
         &self,
         system: &SystemDefinition,
         dataset: &Dataset,
+        scope: &Scope,
         space: ConfigSpace,
+        coarse: Vec<ConfigPoint>,
     ) -> Result<SweepResult, CoreError> {
         let meta = Self::suite_meta(system);
-        let coarse = self.plan.enumerate(&space)?;
         let budget = self.plan.refine_budget.unwrap_or(coarse.len()).max(coarse.len());
-        let samples = self.measure_points(system, dataset, &coarse, Seeding::Positional)?;
+        let samples = self.measure_points(system, dataset, scope, &coarse, Seeding::Positional)?;
         let mut measured: Vec<(ConfigPoint, Vec<Vec<MetricSample>>)> =
             coarse.into_iter().zip(samples).collect();
         let mut seen: std::collections::BTreeSet<String> =
@@ -1480,7 +1568,7 @@ impl ExperimentRunner {
                 break;
             }
             let samples =
-                self.measure_points(system, dataset, &candidates, Seeding::PointIdentity)?;
+                self.measure_points(system, dataset, scope, &candidates, Seeding::PointIdentity)?;
             remaining -= candidates.len();
             measured.extend(candidates.into_iter().zip(samples));
         }

@@ -18,9 +18,9 @@
 //!    design), measure every suite metric into a per-metric column store,
 //!    and fit the invertible (log-)linear relationship of Equation 2 — per
 //!    axis inside its non-saturated zone, or as a multivariate surface on
-//!    grids. The [`campaign`] engine scales
-//!    this step to many systems × many datasets on one shared work pool with
-//!    amortized actual-side metric state.
+//!    grids. A [`campaign`] runs this step over many systems × many datasets
+//!    as a loop of sweeps that prepare actual-side metric state once per
+//!    dataset.
 //! 3. **Configuration** ([`configurator`]) — invert the fitted models under
 //!    the designer's per-metric [`objectives`] and recommend a
 //!    [`geopriv_lppm::ConfigPoint`] satisfying every constraint.

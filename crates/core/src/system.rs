@@ -435,8 +435,8 @@ impl SystemDefinition {
     /// family, the configuration space (every axis's range/scale) and every
     /// metric configuration, in suite order.
     ///
-    /// The campaign engine uses it to label runs and to recognize systems
-    /// whose metrics can share prepared actual-side state.
+    /// Campaigns label their runs with it, and cached sweeps key their
+    /// measurement files on it.
     pub fn cache_key(&self) -> String {
         let metric_keys: Vec<String> = self.suite.iter().map(|m| m.cache_key()).collect();
         format!(

@@ -1,11 +1,11 @@
-//! Run a whole evaluation campaign — several systems, one dataset — through
-//! the campaign engine's shared work pool, then print the per-system sweep
-//! summaries side by side.
+//! Run a whole evaluation campaign — several systems, one dataset — with
+//! `CampaignRunner`, then print the per-system sweep summaries side by side.
 //!
-//! Compared to looping `ExperimentRunner::run` over the systems, the campaign
-//! extracts the actual dataset's POIs and bounds once for all systems, points
-//! and repetitions, and schedules everything at `(system, point, repetition)`
-//! granularity — while returning bit-identical results.
+//! A campaign is a loop of `ExperimentRunner` sweeps, one per `(system,
+//! dataset)` cell, that returns bit-identical results to running them one by
+//! one. What the cells share is the actual dataset's prepared metric state:
+//! its POIs and bounds are extracted once for all systems, points and
+//! repetitions.
 //!
 //! ```text
 //! cargo run --release --example campaign

@@ -164,3 +164,33 @@ fn per_user_campaign_cells_equal_independent_per_user_sweeps() {
     assert_eq!(campaign.get(0, 0).unwrap(), &independent);
     assert!(!independent.user_columns.is_empty());
 }
+
+/// A fresh, empty directory unique to this test and process.
+fn fresh_cache_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("geopriv-peruser-{}-{}", name, std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+#[test]
+fn cached_campaign_cells_equal_independent_cached_sweeps() {
+    let dataset = taxi_dataset(3, 21);
+    let systems = [SystemDefinition::paper_geoi()];
+    let plan = SweepPlan::grid(SweepConfig { points: 5, repetitions: 2, seed: 9, parallel: true })
+        .per_user();
+    let campaign_dir = fresh_cache_dir("campaign");
+    let independent_dir = fresh_cache_dir("independent");
+    let campaign = CampaignRunner::with_plan(plan.clone().cached(&campaign_dir))
+        .run(&systems, std::slice::from_ref(&dataset))
+        .unwrap();
+    let independent = ExperimentRunner::with_plan(plan.cached(&independent_dir))
+        .run(&systems[0], &dataset)
+        .unwrap();
+    // The cell is the cached mode's experiment (identity-keyed user streams),
+    // not a positional sweep, and it populated its own cache.
+    assert_eq!(campaign.get(0, 0).unwrap(), &independent);
+    let entries = std::fs::read_dir(&campaign_dir).map_or(0, |dir| dir.count());
+    assert!(entries > 0, "the campaign wrote no cache entry");
+    let _ = std::fs::remove_dir_all(&campaign_dir);
+    let _ = std::fs::remove_dir_all(&independent_dir);
+}
