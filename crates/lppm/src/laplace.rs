@@ -261,6 +261,157 @@ mod tests {
         xs
     }
 
+    /// The planar Laplace radial CDF, `C(r) = 1 − (1 + εr)·e^(−εr)`.
+    fn radial_cdf(epsilon: f64, r: f64) -> f64 {
+        1.0 - (1.0 + epsilon * r) * (-epsilon * r).exp()
+    }
+
+    /// The one-sample Kolmogorov–Smirnov statistic of `sorted` against `cdf`.
+    fn ks_one_sample(sorted: &[f64], cdf: impl Fn(f64) -> f64) -> f64 {
+        let n = sorted.len() as f64;
+        sorted.iter().enumerate().fold(0.0, |d, (i, &x)| {
+            let c = cdf(x);
+            d.max((i + 1) as f64 / n - c).max(c - i as f64 / n)
+        })
+    }
+
+    /// The two-sample Kolmogorov–Smirnov statistic of two sorted samples.
+    fn ks_two_sample(a: &[f64], b: &[f64]) -> f64 {
+        let (mut i, mut j, mut d) = (0, 0, 0.0f64);
+        while i < a.len() && j < b.len() {
+            if a[i] <= b[j] {
+                i += 1;
+            } else {
+                j += 1;
+            }
+            d = d.max((i as f64 / a.len() as f64 - j as f64 / b.len() as f64).abs());
+        }
+        d
+    }
+
+    /// The two-sample KS critical value at the 0.1 % level (c(α) = 1.949).
+    fn ks_critical(n: usize, m: usize) -> f64 {
+        1.949 * ((n + m) as f64 / (n as f64 * m as f64)).sqrt()
+    }
+
+    fn sorted(mut values: Vec<f64>) -> Vec<f64> {
+        values.sort_by(f64::total_cmp);
+        values
+    }
+
+    /// Samples per ε for the distribution tests: the 0.1 % one-sample KS
+    /// critical value is 0.0031, the 1 % one 0.0026.
+    const DRAWS: usize = 400_000;
+
+    /// The ε values the distribution tests cover: both ends of the paper's
+    /// sweep and one in between.
+    const EPSILONS: [f64; 3] = [1e-4, 0.01, 0.5];
+
+    /// The released vector `sample()` follows the planar Laplace law at
+    /// every ε: its norm has the radial CDF `C(r)` and the mean `2/ε`, its
+    /// direction is uniform over the eight octants, and the norm does not
+    /// depend on the half-plane the vector points into. Derandomized (fixed
+    /// seeds), with every check at the 0.1 % level or stricter.
+    #[test]
+    fn released_vectors_follow_the_planar_laplace_law() {
+        for (k, &epsilon) in EPSILONS.iter().enumerate() {
+            let dist = PlanarLaplace::new(Epsilon::new(epsilon).unwrap());
+            let mut rng = StdRng::seed_from_u64(0x5eed + k as u64);
+            let vectors: Vec<(f64, f64)> = (0..DRAWS).map(|_| dist.sample(&mut rng)).collect();
+            let norm = |&(dx, dy): &(f64, f64)| dx.hypot(dy);
+            assert!(vectors.iter().all(|&(dx, dy)| dx.is_finite() && dy.is_finite()));
+
+            // Radial law: one-sample KS against C(r).
+            let radii = sorted(vectors.iter().map(norm).collect());
+            let d = ks_one_sample(&radii, |r| radial_cdf(epsilon, r));
+            let critical = 1.949 / (DRAWS as f64).sqrt();
+            assert!(d < critical, "ε = {epsilon}: KS D = {d} against C(r), critical {critical}");
+
+            // Mean 2/ε, within four standard errors (the radius's standard
+            // deviation is √2/ε).
+            let mean = radii.iter().sum::<f64>() / DRAWS as f64;
+            let tolerance = 4.0 * 2f64.sqrt() / epsilon / (DRAWS as f64).sqrt();
+            assert!(
+                (mean - 2.0 / epsilon).abs() < tolerance,
+                "ε = {epsilon}: mean {mean} against {}",
+                2.0 / epsilon
+            );
+
+            // Uniform direction: octant counts, χ² with 7 degrees of
+            // freedom against its 0.1 % critical value 24.32.
+            let mut octants = [0usize; 8];
+            for &(dx, dy) in &vectors {
+                let octant = usize::from(dy < 0.0) * 4
+                    + usize::from(dx < 0.0) * 2
+                    + usize::from(dx.abs() < dy.abs());
+                octants[octant] += 1;
+            }
+            let expected = DRAWS as f64 / 8.0;
+            let chi2: f64 = octants.iter().map(|&c| (c as f64 - expected).powi(2) / expected).sum();
+            assert!(chi2 < 24.32, "ε = {epsilon}: octants {octants:?}, χ² = {chi2}");
+
+            // Radius independent of direction: the norms of vectors pointing
+            // into opposite half-planes share one law (two-sample KS).
+            for axis in ["x", "y"] {
+                let (positive, negative): (Vec<_>, Vec<_>) = vectors
+                    .iter()
+                    .copied()
+                    .partition(|&(dx, dy)| if axis == "x" { dx > 0.0 } else { dy > 0.0 });
+                let positive = sorted(positive.iter().map(norm).collect());
+                let negative = sorted(negative.iter().map(norm).collect());
+                let d = ks_two_sample(&positive, &negative);
+                let critical = ks_critical(positive.len(), negative.len());
+                assert!(
+                    d < critical,
+                    "ε = {epsilon}: norms split on the sign of {axis} differ, D = {d} ≥ {critical}"
+                );
+            }
+        }
+    }
+
+    /// The Andrés et al. sampler by inversion of the radial CDF through
+    /// `W₋₁`: a uniform angle θ, then `r = −(W₋₁((p − 1)/e) + 1)/ε`.
+    fn lambert_w_reference_sample(epsilon: f64, rng: &mut StdRng) -> (f64, f64) {
+        let theta = rng.gen_range(0.0..std::f64::consts::TAU);
+        let p: f64 = rng.gen_range(0.0..1.0);
+        let radius = if p == 0.0 {
+            0.0
+        } else {
+            -(scalar_lambert_w_minus1((p - 1.0) / std::f64::consts::E) + 1.0) / epsilon
+        };
+        (radius * theta.cos(), radius * theta.sin())
+    }
+
+    /// `sample()` and the `W₋₁` inversion sampler release the same law:
+    /// the two-sample KS test cannot tell their norms apart at any ε.
+    #[test]
+    fn released_radii_match_the_lambert_w_reference_sampler() {
+        for (k, &epsilon) in EPSILONS.iter().enumerate() {
+            let dist = PlanarLaplace::new(Epsilon::new(epsilon).unwrap());
+            let mut rng = StdRng::seed_from_u64(0xa11ce + k as u64);
+            let released = sorted(
+                (0..DRAWS)
+                    .map(|_| {
+                        let (dx, dy) = dist.sample(&mut rng);
+                        dx.hypot(dy)
+                    })
+                    .collect(),
+            );
+            let mut rng = StdRng::seed_from_u64(0xb0b + k as u64);
+            let reference = sorted(
+                (0..DRAWS)
+                    .map(|_| {
+                        let (dx, dy) = lambert_w_reference_sample(epsilon, &mut rng);
+                        dx.hypot(dy)
+                    })
+                    .collect(),
+            );
+            let d = ks_two_sample(&released, &reference);
+            let critical = ks_critical(DRAWS, DRAWS);
+            assert!(d < critical, "ε = {epsilon}: D = {d} against the W₋₁ sampler, {critical}");
+        }
+    }
+
     #[test]
     fn interleaved_lanes_match_the_scalar_halley_loop_bit_for_bit() {
         let xs = lambert_domain();
