@@ -8,7 +8,7 @@
 //! guarantee — and the lower the utility of the released data.
 
 use crate::error::LppmError;
-use crate::laplace::{PlanarLaplace, LANES};
+use crate::laplace::PlanarLaplace;
 use crate::params::{Epsilon, ParameterDescriptor, ParameterScale};
 use crate::traits::{Lppm, RecordKernel};
 use geopriv_geo::LocalProjection;
@@ -91,16 +91,10 @@ impl Lppm for GeoIndistinguishability {
 }
 
 /// The per-record step of [`GeoIndistinguishability`]: one planar-Laplace
-/// draw per record, applied in a planar projection anchored on the trace's
-/// first record. One projection per trace keeps the planar approximation
-/// error negligible at city scale while avoiding a data-dependent
-/// (privacy-leaking) global frame.
-///
-/// A run is perturbed [`LANES`] records at a time: the group draws each
-/// record's (θ, p) pair in record order, then inverts the group's radii
-/// with interleaved Halley iterations. A lone record — the stream's
-/// one-record run, or a run's last — takes the one-lane
-/// [`PlanarLaplace::sample`], so no padding lanes are paid for.
+/// draw per record, in record order, applied in a planar projection
+/// anchored on the trace's first record. One projection per trace keeps the
+/// planar approximation error negligible at city scale while avoiding a
+/// data-dependent (privacy-leaking) global frame.
 struct GeoIndistinguishabilityKernel {
     noise: PlanarLaplace,
     projection: Option<LocalProjection>,
@@ -111,20 +105,10 @@ impl RecordKernel for GeoIndistinguishabilityKernel {
         let Some(first) = records.first() else { return };
         let projection =
             *self.projection.get_or_insert_with(|| LocalProjection::centered_on(first.location()));
-        let perturb = |record: &mut Record, (dx, dy): (f64, f64)| {
+        for record in records {
+            let (dx, dy) = self.noise.sample(rng);
             let actual = projection.project(record.location());
             *record = record.with_location(projection.unproject(actual.translated(dx, dy)));
-        };
-        for group in records.chunks_mut(LANES) {
-            match group {
-                [record] => perturb(record, self.noise.sample(rng)),
-                _ => {
-                    let noise: [(f64, f64); LANES] = self.noise.sample_lanes(rng, group.len());
-                    for (record, noise) in group.iter_mut().zip(noise) {
-                        perturb(record, noise);
-                    }
-                }
-            }
         }
     }
 }

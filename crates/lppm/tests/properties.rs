@@ -84,7 +84,7 @@ fn per_record_mechanisms_release_pinned_bits() {
     }
     let pinned = [
         ("identity", "0xcde15e45d69f6d28"),
-        ("geo-indistinguishability", "0x1f971f2af3fb6752"),
+        ("geo-indistinguishability", "0x0f951d00689b9d60"),
         ("gaussian-perturbation", "0xf43285c162695cd1"),
         ("grid-cloaking", "0x838cae7cf86725d9"),
         ("coordinate-rounding", "0x6d75aef858e2ec38"),
@@ -120,12 +120,12 @@ fn geoi_releases_pinned_bits_at_ragged_trace_lengths() {
         released.push((t.len(), format!("{:#018x}", digest(&cols))));
     }
     let pinned = [
-        (1, "0x9718d4ae580d5354"),
-        (3, "0x71768c9f61e87f92"),
-        (7, "0x573e53768f1da17a"),
-        (9, "0x616bcb11bdf54304"),
-        (121, "0xaca5225dd9122daf"),
-        (2_881, "0xf29c2bd71fded5be"),
+        (1, "0x52cf65b6190106b8"),
+        (3, "0x186e67e3ff22af9a"),
+        (7, "0xaff0656c36f0a45f"),
+        (9, "0x2e0c48b668f5742b"),
+        (121, "0xe1cddc43a80b1c5b"),
+        (2_881, "0x0b1b12e8bcea8ae7"),
     ];
     let pinned: Vec<(usize, String)> =
         pinned.iter().map(|(len, bits)| (*len, bits.to_string())).collect();
@@ -150,36 +150,74 @@ impl RngCore for Scripted {
     }
 }
 
-/// GEO-I draws θ then p for each record, in record order. A `p = 0` draw
-/// is a zero radius: whatever record of a trace (and so of a chunk) gets
-/// it releases its actual point, mapped through the trace's projection and
-/// back, while its neighbours still move.
+/// The word `gen_range` maps to `unit` (a multiple of 2⁻⁵³ in `[0, 1)`).
+fn word(unit: f64) -> u64 {
+    ((unit * (1u64 << 53) as f64) as u64) << 11
+}
+
+/// GEO-I draws, for each record in record order, `(a, b)` pairs until one
+/// falls strictly inside the unit disc off its centre, then `u`. With every
+/// first pair accepted a 9-record trace takes 27 words and each record moves
+/// by exactly `(a, b)·r/√s`, `r = −ln(s·(1 − u))/ε`. A rejected pair put in
+/// front of any one record — outside the disc, on its circle or at its
+/// centre — costs exactly two more words and changes no record's release,
+/// on the row and the column path alike.
 #[test]
-fn geoi_zero_probability_draw_releases_the_actual_point() {
+fn geoi_rejected_pair_costs_two_words_and_moves_no_release() {
     let t = trace(9, 45.0);
     let projection = LocalProjection::centered_on(t.first().location());
-    let geoi = GeoIndistinguishability::new(Epsilon::new(0.01).unwrap());
-    for zero_at in 0..t.len() {
-        // Two words per record: θ, then p. Every p but one is mid-range.
-        let words: Vec<u64> = (0..t.len() as u64)
-            .flat_map(|i| {
-                let theta = 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i + 1);
-                let p = if i as usize == zero_at { 0 } else { 0x4000_0000_0000_0000 + (i << 40) };
-                [theta, p]
-            })
-            .collect();
-        let mut rng = Scripted { words, next: 0 };
-        let released = geoi.protect_trace(&t, &mut rng).unwrap().to_records();
-        assert_eq!(rng.next, 2 * t.len(), "two draws per record");
-        for (i, (actual, protected)) in t.iter().zip(&released).enumerate() {
-            let round_trip = projection.unproject(projection.project(actual.location()));
-            if i == zero_at {
-                assert_eq!(protected.location(), round_trip, "record {i} must not move");
-                let moved = distance::haversine(actual.location(), protected.location());
-                assert!(moved.as_f64() < 1e-6, "record {i} moved {moved}");
-            } else {
-                assert_ne!(protected.location(), round_trip, "record {i} must move");
+    let epsilon = 0.01;
+    let geoi = GeoIndistinguishability::new(Epsilon::new(epsilon).unwrap());
+    // (a, b, u) per record, in 64ths so every word maps back exactly:
+    // |a|, |b| < 1/2, so every pair is accepted.
+    let draws: Vec<(f64, f64, f64)> = (0..t.len())
+        .map(|i| {
+            let i = i as f64;
+            ((7.0 * i - 29.0) / 64.0, (28.0 - 6.0 * i) / 64.0, (3.0 + 7.0 * i) / 64.0)
+        })
+        .collect();
+    let script = |reject: Option<(usize, [u64; 2])>| -> Vec<u64> {
+        let mut words = Vec::new();
+        for (i, &(a, b, u)) in draws.iter().enumerate() {
+            if let Some((_, pair)) = reject.filter(|&(at, _)| at == i) {
+                words.extend(pair);
             }
+            words.extend([word((a + 1.0) / 2.0), word((b + 1.0) / 2.0), word(u)]);
+        }
+        words
+    };
+    let release = |words: Vec<u64>| {
+        let count = words.len();
+        let mut rng = Scripted { words: words.clone(), next: 0 };
+        let rows = geoi.protect_trace(&t, &mut rng).unwrap().to_records();
+        assert_eq!(rng.next, count, "every scripted word is drawn, no more");
+        let mut out = DatasetBuilder::with_capacity(1, t.len());
+        let mut rng = Scripted { words, next: 0 };
+        geoi.protect_view(t.view(), &mut out, &mut rng).unwrap();
+        let cols: Vec<Record> = out.finish().unwrap().trace_at(0).iter().collect();
+        assert_eq!(rows, cols, "rows vs columns");
+        rows
+    };
+
+    let accepted = release(script(None));
+    assert_eq!(script(None).len(), 3 * t.len(), "three words per record");
+    for ((actual, released), &(a, b, u)) in t.iter().zip(&accepted).zip(&draws) {
+        let s = a * a + b * b;
+        let scale = -(s * (1.0 - u)).ln() / epsilon / s.sqrt();
+        let expected = projection
+            .unproject(projection.project(actual.location()).translated(a * scale, b * scale));
+        assert_eq!(released.location(), expected, "({a}, {b}, {u})");
+        assert_eq!(released.timestamp(), actual.timestamp());
+        assert_ne!(released.location(), actual.location());
+    }
+
+    // Outside the disc (s = 2), on its circle (s = 1), at its centre (s = 0).
+    let rejected = [[word(0.0), word(0.0)], [word(0.0), word(0.5)], [word(0.5), word(0.5)]];
+    for at in 0..t.len() {
+        for pair in rejected {
+            let words = script(Some((at, pair)));
+            assert_eq!(words.len(), 3 * t.len() + 2, "two extra words");
+            assert_eq!(release(words), accepted, "a rejected pair before record {at}");
         }
     }
 }

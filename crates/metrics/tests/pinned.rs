@@ -59,14 +59,14 @@ fn geoi_sweep_metrics_release_pinned_per_user_breakdowns() {
         }
     }
     let pinned = [
-        "0xd3ca7bb578802b69",
-        "0x88e18233738ce447",
+        "0x6bd3350a513c31fb",
+        "0xc9973fb3acc9c352",
         "0xfaa560d771e861c5",
-        "0xdf508de75c8fdeac",
-        "0x83805f95ec0821d5",
-        "0xe638c4c70a03921b",
-        "0xfb43fedbc936c3c2",
-        "0xf9120029a12854bf",
+        "0xeac8a7f02fe5b71b",
+        "0x0f48500ff47ff08e",
+        "0xe00a883c7bcf155f",
+        "0xaa4c618ab0505a18",
+        "0x1458535b48272188",
         "0xb4371bf789ac93b8",
     ];
     assert_eq!(released, pinned);

@@ -755,7 +755,7 @@ mod tests {
         let sweep = ExperimentRunner::new(config).run(&system, &dataset).unwrap();
         let fitted = Modeler::new().fit(&sweep).unwrap();
         let configurator = Configurator::new(fitted.clone());
-        let explicit = configurator.recommend(&Objectives::paper_example()).unwrap();
+        let explicit = configurator.recommend(&Objectives::paper_example()).map_err(Error::from);
 
         // Facade path.
         let studied = AutoConf::for_system(SystemDefinition::paper_geoi())
@@ -768,12 +768,22 @@ mod tests {
             .unwrap()
             .require("area-coverage", at_least(0.8))
             .unwrap()
-            .recommend()
-            .unwrap();
+            .recommend();
 
-        // Bit-identical, not merely close.
-        assert_eq!(recommendation, explicit);
+        // Bit-identical, not merely close: the same point, or the same
+        // infeasibility verdict (whether this small instance is feasible
+        // depends on the seed, so either outcome must match).
+        assert_eq!(outcome(recommendation), outcome(explicit));
         assert_eq!(studied_eq_check(&dataset, config), (sweep, fitted));
+    }
+
+    /// A recommendation, or the reason the objectives are infeasible; any
+    /// other error fails the test.
+    fn outcome(result: Result<Recommendation, Error>) -> Result<Recommendation, String> {
+        result.map_err(|error| match error {
+            Error::Core(CoreError::Infeasible { reason }) => reason,
+            other => panic!("expected a point or an infeasibility verdict, got {other:?}"),
+        })
     }
 
     /// Rebuilds the facade's intermediate state for the equality check above
