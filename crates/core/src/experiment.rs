@@ -1049,11 +1049,12 @@ impl SweepResult {
     /// Every user resolved by at least one metric, in order of first
     /// appearance across the user columns (suite order).
     pub fn users(&self) -> Vec<UserId> {
+        let mut seen = std::collections::BTreeSet::new();
         let mut users = Vec::new();
         for column in &self.user_columns {
-            for user in &column.users {
-                if !users.contains(user) {
-                    users.push(*user);
+            for &user in &column.users {
+                if seen.insert(user) {
+                    users.push(user);
                 }
             }
         }
