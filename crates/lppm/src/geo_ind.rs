@@ -5,7 +5,8 @@
 //! Location-based Systems*, CCS 2013. Each released location is the actual
 //! location plus planar-Laplace noise calibrated by ε (in m⁻¹): the lower
 //! the ε, the higher the noise and therefore the stronger the privacy
-//! guarantee — and the lower the utility of the released data.
+//! guarantee — and the lower the utility of the released data. The noise
+//! comes from [`PlanarLaplace::sample`], one draw per record.
 
 use crate::error::LppmError;
 use crate::laplace::PlanarLaplace;

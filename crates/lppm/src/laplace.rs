@@ -18,6 +18,8 @@
 //!
 //! One `ln` and one `sqrt` per record, no trigonometry and no `exp`. The
 //! draws are the record's `(a, b)` pairs until one is accepted, then `u`.
+//! Andrés et al. invert `C` through the `W₋₁` branch of the Lambert W
+//! function instead; the tests check that both samplers release one law.
 
 use crate::params::Epsilon;
 use rand::Rng;
@@ -61,7 +63,8 @@ impl PlanarLaplace {
 
     /// Samples a planar noise vector `(dx, dy)` in meters: `(a, b)` pairs
     /// until one falls strictly inside the unit disc, off its centre, then
-    /// one uniform `u`, as the module documentation sets out.
+    /// one uniform `u`, as the module documentation sets out. With `s` in
+    /// `(0, 1)` and `1 − u` in `(0, 1]` the radius is positive and finite.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> (f64, f64) {
         loop {
             let a: f64 = rng.gen_range(-1.0..1.0);

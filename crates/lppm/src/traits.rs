@@ -16,7 +16,8 @@
 //! chunking never changes which draw a record gets. The three paths
 //! therefore make the same per-record operations and the same RNG draws
 //! in the same order — bit-identical by construction — while a kernel may
-//! batch the arithmetic of a run (GEO-I inverts four radii at a time).
+//! batch the arithmetic of a run, as long as it keeps every record's draws
+//! together and in record order.
 //! Whole-trace mechanisms (resampling, dropping, composing) have no
 //! kernel: they override `protect_trace`, and the column and stream paths
 //! fall back to it.
