@@ -514,6 +514,116 @@ mod tests {
         assert_eq!(hist[&g.cell_of(b)], 1);
     }
 
+    /// `count_cells` through one reused buffer, checked against the size of
+    /// the reference [`CellSet`].
+    fn counted(g: &Grid, points: &[GeoPoint], keys: &mut Vec<u64>) -> usize {
+        let count = g.count_cells(points.iter().copied(), keys);
+        assert_eq!(count, g.coverage(points.iter().copied()).len(), "{} points", points.len());
+        count
+    }
+
+    #[test]
+    fn count_cells_of_no_points_is_zero() {
+        let g = sf_grid(200.0);
+        let mut keys = vec![7, 7, 7];
+        assert_eq!(counted(&g, &[], &mut keys), 0);
+    }
+
+    #[test]
+    fn count_cells_of_one_cell_is_one() {
+        let g = sf_grid(200.0);
+        let a = GeoPoint::new(37.7749, -122.4194).unwrap();
+        let b = GeoPoint::new(37.77495, -122.41945).unwrap();
+        let mut keys = Vec::new();
+        assert_eq!(counted(&g, &[a; 500], &mut keys), 1);
+        assert_eq!(counted(&g, &[a, b, a, b, b, a], &mut keys), 1);
+    }
+
+    #[test]
+    fn count_cells_of_two_alternating_cells_is_two() {
+        // No record repeats its predecessor's cell, so the repeat skip
+        // never fires and every key reaches the count.
+        let g = sf_grid(200.0);
+        let a = GeoPoint::new(37.7749, -122.4194).unwrap();
+        let b = GeoPoint::new(37.79, -122.40).unwrap();
+        let points: Vec<GeoPoint> = (0..999).map(|i| if i % 2 == 0 { a } else { b }).collect();
+        let mut keys = Vec::new();
+        assert_eq!(counted(&g, &points, &mut keys), 2);
+    }
+
+    #[test]
+    fn count_cells_of_distinct_cells_is_their_number() {
+        let g = sf_grid(50.0);
+        let mut points = Vec::new();
+        for col in (0..g.columns()).step_by(3) {
+            for row in (0..g.rows()).step_by(7) {
+                points.push(g.cell_center(cell(col, row)));
+            }
+        }
+        let mut keys = Vec::new();
+        let every = counted(&g, &points, &mut keys);
+        assert_eq!(every, points.len());
+        // Then fewer through the same, larger buffer, and more again.
+        assert_eq!(counted(&g, &points[..37], &mut keys), 37);
+        assert_eq!(counted(&g, &[points.clone(), points.clone()].concat(), &mut keys), every);
+    }
+
+    /// The points of a slice behind a made-up `size_hint`.
+    struct Misreported<'a> {
+        points: std::slice::Iter<'a, GeoPoint>,
+        hint: (usize, Option<usize>),
+    }
+
+    impl Iterator for Misreported<'_> {
+        type Item = GeoPoint;
+
+        fn next(&mut self) -> Option<GeoPoint> {
+            self.points.next().copied()
+        }
+
+        fn size_hint(&self) -> (usize, Option<usize>) {
+            self.hint
+        }
+    }
+
+    #[test]
+    fn count_cells_does_not_trust_the_reported_length() {
+        let g = sf_grid(50.0);
+        let points: Vec<GeoPoint> = (0..g.columns())
+            .flat_map(|col| (0..g.rows()).step_by(20).map(move |row| cell(col, row)))
+            .map(|c| g.cell_center(c))
+            .collect();
+        let mut keys = Vec::new();
+        for hint in [(0, Some(0)), (1, Some(1)), (usize::MAX, None), (usize::MAX, Some(0))] {
+            for len in [0, 1, 17, 300, points.len()] {
+                let shown = Misreported { points: points[..len].iter(), hint };
+                assert_eq!(g.count_cells(shown, &mut keys), len, "{len} points, hint {hint:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn count_cells_clamps_far_points_to_border_cells() {
+        let g = sf_grid(200.0);
+        let far = [
+            (89.9, -122.4),
+            (-89.9, -122.4),
+            (37.75, 179.9),
+            (37.75, -179.9),
+            (89.9, 179.9),
+            (-89.9, -179.9),
+            (45.0, -122.4194),
+            (50.0, -122.4194),
+        ];
+        let points: Vec<GeoPoint> =
+            far.iter().map(|&(lat, lon)| GeoPoint::new(lat, lon).unwrap()).collect();
+        let mut keys = Vec::new();
+        // The last two clamp to the same top-row cell.
+        assert_eq!(counted(&g, &points, &mut keys), far.len() - 1);
+        let corners = [g.bounds().south_west(), g.bounds().north_east()];
+        assert_eq!(counted(&g, &[&points[..], &corners].concat(), &mut keys), far.len() - 1);
+    }
+
     #[test]
     fn cellset_similarities() {
         let a = CellSet::from_cells([cell(0, 0), cell(1, 0), cell(2, 0)]);

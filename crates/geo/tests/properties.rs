@@ -173,14 +173,30 @@ proptest! {
     fn counted_cells_equal_the_coverage_size(
         a in planar_points(60),
         b in planar_points(60),
-        cell_m in 50.0f64..1000.0,
+        long in planar_points(400),
+        steps in prop::collection::vec((-30.0f64..30.0, -30.0f64..30.0), 0..300),
+        cell_scale in 0.0f64..1.0,
     ) {
+        // Log-uniform cell sizes from 5 m (a grid thousands of cells wide)
+        // to 1 km.
+        let cell_m = 5.0 * 200f64.powf(cell_scale);
         let area = BoundingBox::new(37.60, -122.60, 37.90, -122.30).unwrap();
         let grid = Grid::new(area, Meters::new(cell_m)).unwrap();
         let proj = LocalProjection::centered_on(area.center());
-        // One key buffer serves both traces, as in the area-ratio metric.
+        // A street walk: short steps, so consecutive records often share a
+        // cell and neighbouring cells recur.
+        let walk: Vec<Point> = steps
+            .iter()
+            .scan(Point::new(0.0, 0.0), |at, &(dx, dy)| {
+                *at = Point::new(at.x() + dx, at.y() + dy);
+                Some(*at)
+            })
+            .collect();
+        // One key buffer serves every trace, as in the area-ratio metric:
+        // short, long, short, walk, short, so the buffer both grows and is
+        // reused for fewer cells than it last held.
         let mut keys = Vec::new();
-        for points in [&a, &b, &a] {
+        for points in [&a, &long, &b, &walk, &a] {
             let geos: Vec<GeoPoint> = points.iter().map(|p| proj.unproject(*p)).collect();
             let counted = grid.count_cells(geos.iter().copied(), &mut keys);
             prop_assert_eq!(counted, grid.coverage(geos.iter().copied()).len());

@@ -40,7 +40,9 @@ fn geoi_sweep_metrics_release_pinned_per_user_breakdowns() {
     let poi = PoiRetrieval::default();
     let prepared = poi.prepare(&actual).expect("POIs extract");
     let mut released = Vec::new();
-    for (epsilon, seed) in [(0.01, 41u64), (0.03, 42), (0.2, 43)] {
+    // The last two are the ends of the paper sweep; ε = 1e-4 spreads the
+    // protected records over the widest grid.
+    for (epsilon, seed) in [(0.01, 41u64), (0.03, 42), (0.2, 43), (1e-4, 44), (1.0, 45)] {
         let mut rng = StdRng::seed_from_u64(seed);
         let protected = GeoIndistinguishability::new(Epsilon::new(epsilon).unwrap())
             .protect_dataset(&actual, &mut rng)
@@ -67,6 +69,12 @@ fn geoi_sweep_metrics_release_pinned_per_user_breakdowns() {
         "0xe00a883c7bcf155f",
         "0xaa4c618ab0505a18",
         "0x1458535b48272188",
+        "0xb4371bf789ac93b8",
+        "0x48871b295b035dc9",
+        "0x208cb5973d5cc3dd",
+        "0xfaa560d771e861c5",
+        "0x29fa82b93205a41a",
+        "0x80c72f5bb7c6b873",
         "0xb4371bf789ac93b8",
     ];
     assert_eq!(released, pinned);
