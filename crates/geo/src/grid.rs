@@ -596,7 +596,11 @@ mod tests {
         let mut keys = Vec::new();
         for hint in [(0, Some(0)), (1, Some(1)), (usize::MAX, None), (usize::MAX, Some(0))] {
             for len in [0, 1, 17, 300, points.len()] {
-                let shown = Misreported { points: points[..len].iter(), hint };
+                // Every cell twice, the second time after the table has
+                // grown, so a key lost in growth would count again.
+                let twice: Vec<GeoPoint> =
+                    points[..len].iter().chain(points[..len].iter().rev()).copied().collect();
+                let shown = Misreported { points: twice.iter(), hint };
                 assert_eq!(g.count_cells(shown, &mut keys), len, "{len} points, hint {hint:?}");
             }
         }

@@ -200,6 +200,10 @@ proptest! {
             let geos: Vec<GeoPoint> = points.iter().map(|p| proj.unproject(*p)).collect();
             let counted = grid.count_cells(geos.iter().copied(), &mut keys);
             prop_assert_eq!(counted, grid.coverage(geos.iter().copied()).len());
+            // With no reported length the count starts from its smallest
+            // table and grows.
+            let unsized_points = geos.iter().copied().filter(|_| true);
+            prop_assert_eq!(grid.count_cells(unsized_points, &mut keys), counted);
         }
     }
 
