@@ -18,9 +18,14 @@
 //! * A [`CellSet`] is a sorted, deduplicated vector of cells, built by one
 //!   sort on packed `u64` keys (column in the high half, so key order is
 //!   the lexicographic `(col, row)` order the set iterates in).
-//!   [`Grid::count_cells`] counts the distinct cells of a trace with a
-//!   caller-owned key buffer, so the area-ratio metric allocates nothing
-//!   per trace.
+//! * [`Grid::count_cells`] counts the distinct cells of a trace in one
+//!   hashed pass, with no sort: the caller-owned key buffer becomes an
+//!   open-addressing table (Fibonacci hashing, linear probing, at most half
+//!   full), so the area-ratio metric allocates nothing per trace. Its
+//!   vacant slots hold `u64::MAX`, which no packed key equals: a grid has at
+//!   most `u32::MAX` cells, so no column index reaches `u32::MAX`. A count
+//!   does not depend on the order the cells are met in, so it equals the
+//!   length of the [`CellSet`] exactly.
 
 use crate::bbox::BoundingBox;
 use crate::error::GeoError;
@@ -43,6 +48,7 @@ pub struct CellId {
 impl CellId {
     /// The cell packed into one `u64`: the column in the high half, the row
     /// in the low half. Key order is the derived `(col, row)` order.
+    #[inline]
     fn key(self) -> u64 {
         (u64::from(self.col) << 32) | u64::from(self.row)
     }
@@ -149,6 +155,7 @@ impl Grid {
     /// The clamp comes before the integer cast and no `floor` is needed: a
     /// clamped coordinate is non-negative, where `as u32` truncates exactly
     /// like `floor`; a NaN coordinate casts to 0 (see the module docs).
+    #[inline]
     pub fn cell_of(&self, point: GeoPoint) -> CellId {
         let p = self.projection.project(point);
         CellId {
@@ -180,24 +187,31 @@ impl Grid {
     /// The number of distinct cells touched by the given points — the
     /// length of their [`Grid::coverage`] — using `keys` as scratch space.
     ///
-    /// Reusing one buffer across many traces avoids a set allocation per
-    /// trace; its contents on return are unspecified.
+    /// The count is one hashed pass: `keys` becomes an open-addressing
+    /// table of packed cell keys, filled with the sentinel `u64::MAX` at the
+    /// start of every call, and each first insertion counts. No cell key
+    /// equals the sentinel: [`Grid::new`] caps a grid at `u32::MAX` cells,
+    /// so no column index reaches `u32::MAX`. Reusing one buffer across
+    /// many traces avoids an allocation per trace; its contents on return
+    /// are unspecified.
+    #[inline]
     pub fn count_cells<I>(&self, points: I, keys: &mut Vec<u64>) -> usize
     where
         I: IntoIterator<Item = GeoPoint>,
     {
-        keys.clear();
+        let points = points.into_iter();
+        let mut table = KeyTable::new(keys, points.size_hint().0);
+        let mut last = EMPTY_SLOT;
         for point in points {
             // Consecutive records often share a cell (a dwell, a slow
-            // street): skipping repeats of the last key shrinks the sort.
+            // street): a repeat of the last key is already in the table.
             let key = self.cell_of(point).key();
-            if keys.last() != Some(&key) {
-                keys.push(key);
+            if key != last {
+                table.insert(key);
+                last = key;
             }
         }
-        keys.sort_unstable();
-        keys.dedup();
-        keys.len()
+        table.len
     }
 
     /// Builds a histogram of visits per cell for the given points.
@@ -216,8 +230,87 @@ impl Grid {
 /// The index of the cell holding a coordinate measured in cells from the
 /// grid's origin, clamped to the `cells` cells of its axis: `floor` without
 /// calling it (see the module docs).
+#[inline]
 fn cell_index(coordinate: f64, cells: u32) -> u32 {
     coordinate.clamp(0.0, f64::from(cells - 1)) as u32
+}
+
+/// The vacant slot of a [`KeyTable`]. It packs column `u32::MAX`, which no
+/// grid has: [`Grid::new`] caps a grid at `u32::MAX` cells, so at most
+/// `u32::MAX` columns, indexed from 0.
+const EMPTY_SLOT: u64 = u64::MAX;
+
+/// Slots of the smallest table; a power of two.
+const MIN_SLOTS: usize = 16;
+
+/// Largest number of points whose reported count sizes a fresh table: an
+/// iterator's length is a hint, and growth covers any that it understates.
+const MAX_HINTED_POINTS: usize = 1 << 15;
+
+/// A set of packed cell keys in a caller-owned buffer: open addressing with
+/// a Fibonacci-multiplicative hash and linear probing, kept at most half
+/// full so every probe meets a vacant slot.
+struct KeyTable<'a> {
+    /// A power-of-two number of slots, each a key or [`EMPTY_SLOT`].
+    slots: &'a mut Vec<u64>,
+    /// `64 − log₂(slots)`: the hash keeps the top bits of the product.
+    shift: u32,
+    /// Number of keys held.
+    len: usize,
+}
+
+impl<'a> KeyTable<'a> {
+    /// An empty table in `slots` with room for about `expected` keys.
+    #[inline]
+    fn new(slots: &'a mut Vec<u64>, expected: usize) -> Self {
+        let size = (2 * expected.min(MAX_HINTED_POINTS)).next_power_of_two().max(MIN_SLOTS);
+        slots.clear();
+        slots.resize(size, EMPTY_SLOT);
+        Self { slots, shift: 64 - size.trailing_zeros(), len: 0 }
+    }
+
+    /// Adds `key` if it is absent.
+    #[inline]
+    fn insert(&mut self, key: u64) {
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow();
+        }
+        if place(self.slots, self.shift, key) {
+            self.len += 1;
+        }
+    }
+
+    /// Doubles the slots and re-places every key.
+    #[cold]
+    fn grow(&mut self) {
+        let old = std::mem::take(self.slots);
+        self.slots.resize(2 * old.len(), EMPTY_SLOT);
+        self.shift -= 1;
+        for key in old.into_iter().filter(|&key| key != EMPTY_SLOT) {
+            place(self.slots, self.shift, key);
+        }
+    }
+}
+
+/// Puts `key` in its probe sequence's first vacant slot unless it meets the
+/// key first; returns whether it was placed. The probe visits each slot at
+/// most once, so it ends even on a full table (which [`KeyTable::insert`]
+/// never lets happen).
+#[inline]
+fn place(slots: &mut [u64], shift: u32, key: u64) -> bool {
+    let mask = slots.len() - 1;
+    let mut slot = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize;
+    for _ in 0..slots.len() {
+        match slots.get_mut(slot) {
+            Some(entry) if *entry == key => return false,
+            Some(entry) if *entry == EMPTY_SLOT => {
+                *entry = key;
+                return true;
+            }
+            _ => slot = (slot + 1) & mask,
+        }
+    }
+    false
 }
 
 /// A set of grid cells, typically the coverage of a mobility trace.

@@ -56,6 +56,7 @@ impl GeoPoint {
     /// # Panics
     ///
     /// Panics if either value is NaN (noise generation never produces NaN).
+    #[inline]
     pub fn clamped(lat: f64, lon: f64) -> Self {
         assert!(!lat.is_nan() && !lon.is_nan(), "coordinates must not be NaN");
         let lat = lat.clamp(-90.0, 90.0);
