@@ -235,13 +235,9 @@ fn cell_index(coordinate: f64, cells: u32) -> u32 {
     coordinate.clamp(0.0, f64::from(cells - 1)) as u32
 }
 
-/// The vacant slot of a [`KeyTable`]. It packs column `u32::MAX`, which no
-/// grid has: [`Grid::new`] caps a grid at `u32::MAX` cells, so at most
-/// `u32::MAX` columns, indexed from 0.
+/// The vacant slot of a [`KeyTable`]; no packed cell key equals it (see
+/// [`Grid::count_cells`]).
 const EMPTY_SLOT: u64 = u64::MAX;
-
-/// Slots of the smallest table; a power of two.
-const MIN_SLOTS: usize = 16;
 
 /// Largest number of points whose reported count sizes a fresh table: an
 /// iterator's length is a hint, and growth covers any that it understates.
@@ -263,7 +259,7 @@ impl<'a> KeyTable<'a> {
     /// An empty table in `slots` with room for about `expected` keys.
     #[inline]
     fn new(slots: &'a mut Vec<u64>, expected: usize) -> Self {
-        let size = (2 * expected.min(MAX_HINTED_POINTS)).next_power_of_two().max(MIN_SLOTS);
+        let size = (2 * expected.min(MAX_HINTED_POINTS)).next_power_of_two().max(16);
         slots.clear();
         slots.resize(size, EMPTY_SLOT);
         Self { slots, shift: 64 - size.trailing_zeros(), len: 0 }
@@ -275,7 +271,7 @@ impl<'a> KeyTable<'a> {
         if 2 * (self.len + 1) > self.slots.len() {
             self.grow();
         }
-        if place(self.slots, self.shift, key) {
+        if self.place(key) {
             self.len += 1;
         }
     }
@@ -287,30 +283,30 @@ impl<'a> KeyTable<'a> {
         self.slots.resize(2 * old.len(), EMPTY_SLOT);
         self.shift -= 1;
         for key in old.into_iter().filter(|&key| key != EMPTY_SLOT) {
-            place(self.slots, self.shift, key);
+            self.place(key);
         }
     }
-}
 
-/// Puts `key` in its probe sequence's first vacant slot unless it meets the
-/// key first; returns whether it was placed. The probe visits each slot at
-/// most once, so it ends even on a full table (which [`KeyTable::insert`]
-/// never lets happen).
-#[inline]
-fn place(slots: &mut [u64], shift: u32, key: u64) -> bool {
-    let mask = slots.len() - 1;
-    let mut slot = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize;
-    for _ in 0..slots.len() {
-        match slots.get_mut(slot) {
-            Some(entry) if *entry == key => return false,
-            Some(entry) if *entry == EMPTY_SLOT => {
-                *entry = key;
-                return true;
+    /// Puts `key` in the first vacant slot of its probe sequence unless it
+    /// meets `key` first; returns whether it was placed. The probe visits
+    /// each slot at most once, so it ends even on a full table (which
+    /// [`KeyTable::insert`] never lets happen).
+    #[inline]
+    fn place(&mut self, key: u64) -> bool {
+        let mask = self.slots.len() - 1;
+        let mut slot = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize;
+        for _ in 0..self.slots.len() {
+            match self.slots.get_mut(slot) {
+                Some(entry) if *entry == key => return false,
+                Some(entry) if *entry == EMPTY_SLOT => {
+                    *entry = key;
+                    return true;
+                }
+                _ => slot = (slot + 1) & mask,
             }
-            _ => slot = (slot + 1) & mask,
         }
+        false
     }
-    false
 }
 
 /// A set of grid cells, typically the coverage of a mobility trace.
