@@ -245,7 +245,8 @@ const MAX_HINTED_POINTS: usize = 1 << 15;
 
 /// A set of packed cell keys in a caller-owned buffer: open addressing with
 /// a Fibonacci-multiplicative hash and linear probing, kept at most half
-/// full so every probe meets a vacant slot.
+/// full so every probe meets a vacant slot. The hash is unkeyed: keys that
+/// collide can slow a count, never change it.
 struct KeyTable<'a> {
     /// A power-of-two number of slots, each a key or [`EMPTY_SLOT`].
     slots: &'a mut Vec<u64>,
