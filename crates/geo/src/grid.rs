@@ -23,9 +23,9 @@
 //!   open-addressing table (Fibonacci hashing, linear probing, at most half
 //!   full), so the area-ratio metric allocates nothing per trace. Its
 //!   vacant slots hold `u64::MAX`, which no packed key equals: a grid has at
-//!   most `u32::MAX` cells, so no column index reaches `u32::MAX`. A count
-//!   does not depend on the order the cells are met in, so it equals the
-//!   length of the [`CellSet`] exactly.
+//!   most `u32::MAX` cells, so no column index reaches `u32::MAX`. The
+//!   count is the number of distinct keys whatever order they are met in,
+//!   so it equals the length of the trace's [`CellSet`].
 
 use crate::bbox::BoundingBox;
 use crate::error::GeoError;
